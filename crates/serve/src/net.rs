@@ -246,8 +246,20 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Frames `line` with its newline and hands both to `writer` in one
+/// write. Two writes (line, then `"\n"`) let Nagle hold the newline
+/// until the peer's delayed ACK: 44 ms per round trip on Linux loopback.
+fn send_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    writer.write_all(&framed)?;
+    writer.flush()
+}
+
 /// A blocking NDJSON client: one request line out, one response line
-/// back, over a kept-alive [`TcpStream`].
+/// back, over a kept-alive [`TcpStream`] with `TCP_NODELAY` set, each
+/// request sent in a single write.
 ///
 /// [`Client::connect`] retries connection-refused — the window while a
 /// crashed or restarting server is not yet listening — up to 3 attempts
@@ -268,6 +280,9 @@ impl Client {
         for attempt in 1..=ATTEMPTS {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    stream
+                        .set_nodelay(true)
+                        .map_err(|e| format!("{addr}: set TCP_NODELAY: {e}"))?;
                     let writer = stream
                         .try_clone()
                         .map_err(|e| format!("{addr}: clone stream: {e}"))?;
@@ -307,10 +322,7 @@ impl Client {
     /// reconnect (a dropped [`Client`] must not be reused: the response
     /// stream may hold a half-read line).
     pub fn request(&mut self, line: &str) -> Result<String, String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .and_then(|_| self.writer.flush())
+        send_line(&mut self.writer, line)
             .map_err(|e| format!("{}: send request: {e}", self.addr))?;
         let mut response = String::new();
         let n = self
@@ -328,7 +340,8 @@ impl Client {
 
     /// Applies a per-request read deadline (`None` restores blocking
     /// reads). Lets a coordinator bound how long a gather waits on a
-    /// wedged shard.
+    /// wedged shard; an exchange that times out leaves the stream
+    /// unusable, so drop the client afterwards.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), String> {
         self.reader
             .get_ref()
@@ -497,6 +510,49 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(!is_error(&lines[0]));
         handle.shutdown();
+    }
+
+    /// A writer that keeps every `write` call's bytes separately.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn client_request_goes_out_in_one_write_with_its_newline() {
+        let mut w = RecordingWriter::default();
+        send_line(&mut w, "{\"op\":\"health\"}").unwrap();
+        assert_eq!(w.writes, vec![b"{\"op\":\"health\"}\n".to_vec()]);
+    }
+
+    #[test]
+    fn client_sets_nodelay_and_round_trips_one_line() {
+        let (listener, addr) = bind_local(0).unwrap();
+        let echo = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            writer.write_all(line.as_bytes()).unwrap();
+        });
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        assert!(client.writer.nodelay().unwrap(), "TCP_NODELAY is set");
+        assert_eq!(
+            client.request("{\"op\":\"stats\"}").unwrap(),
+            "{\"op\":\"stats\"}"
+        );
+        echo.join().unwrap();
     }
 
     #[test]

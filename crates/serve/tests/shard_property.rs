@@ -12,6 +12,7 @@
 use skyup_data::rng::Rng;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_geom::PointStore;
+use skyup_obs::json::Json;
 use skyup_obs::{Completion, Interrupt};
 use skyup_serve::proto::render_query_response;
 use skyup_serve::{
@@ -352,6 +353,27 @@ fn lost_flip_ack_is_repaired_on_read() {
         render_query_response(&want_q)
     );
     assert_eq!(states[0].label(), got.epoch, "repaired on read");
+
+    // The metrics verb attributes every round trip to its shard and
+    // verb: one stage each, three flip attempts on the lossy shard, one
+    // probe each (the in-line repair is charged to the probe).
+    let metrics = skyup_obs::json::parse(&coordinator.metrics_json()).unwrap();
+    let Some(Json::Arr(shards)) = metrics.get("shards") else {
+        panic!("metrics lacks per-shard latencies: {metrics:?}");
+    };
+    let count = |k: usize, verb: &str| {
+        shards[k]
+            .get(verb)
+            .and_then(|h| h.get("cumulative"))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("shard {k} lacks {verb}"))
+    };
+    for (k, flips) in [(0, 3), (1, 1)] {
+        assert_eq!(count(k, "stage_latency_ns"), 1, "shard {k} stages");
+        assert_eq!(count(k, "flip_latency_ns"), flips, "shard {k} flips");
+        assert_eq!(count(k, "probe_latency_ns"), 1, "shard {k} probes");
+    }
     shutdown(&states);
 }
 

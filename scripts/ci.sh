@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline-safe CI gate: formatting, lints, the tier-1 build + test
-# suite, the declarative scenario suite, and the perf-regression bench
-# gate.
+# suite, the benchmark package's own tests, the declarative scenario
+# suite, and the perf-regression bench gate.
 #
 # Exit-code contract (what a red run means):
 #   0    every step passed
@@ -119,6 +119,15 @@ step "kill-crash durability harness (dedicated hard cap)" \
 # on a dead socket), so it gets its own tight wall-clock cap.
 step "multi-shard smoke (2 shards + coordinator, dedicated hard cap)" \
     timeout "${SKYUP_CI_SHARD_TIMEOUT:-120}" cargo test --offline -q --test shard_smoke
+
+# perfbench/ is a workspace of its own, so the workspace sweep above
+# never runs its tests: stream and CSV generator determinism, and the
+# one-write TCP_NODELAY contract of the benchmark's client. Its build
+# goes under target/ so nothing under perfbench/ changes; --locked keeps
+# its lockfile as committed. The cap covers a cold build of the bench.
+step "perfbench tests (own workspace, dedicated hard cap)" \
+    env CARGO_TARGET_DIR=target/perfbench \
+    timeout 600 cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 # The committed regression corpus: every scenario under scenarios/ runs
 # through ingestion, the serving engine, and the expected-answer
