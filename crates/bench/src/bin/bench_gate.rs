@@ -15,8 +15,7 @@
 //!   counts are pure functions of the committed workload — any drift is
 //!   a behavior change, not noise, so the tolerance is zero. Quantities
 //!   that are genuinely timing-dependent (how many batches a window
-//!   coalesced, what a racy shared threshold pruned at >1 threads) get
-//!   structural checks instead of exact ones.
+//!   coalesced) get structural checks instead of exact ones.
 //! * **Wall-clock** is one-sided with a 25% tolerance: fresh may not be
 //!   more than 1.25x slower than baseline (per row). Faster never
 //!   fails; the driver script retries the whole run to ride out
@@ -510,8 +509,17 @@ fn gate_serve_scatter(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     });
 }
 
-/// Gate for `probe_sched` reports (`BENCH_probing.json`). Rows are
-/// keyed by `(strategy, threads)`.
+/// Gate for `probe_sched` reports (`BENCH_probing.json`). Workloads
+/// are keyed by `name`, rows within a workload by `threads`.
+///
+/// The executor evaluates every product, so everything but the
+/// wall-clock is exact: each row is bit-identical to sequential
+/// improved probing, `evaluated == products_evaluated == t_size`, and
+/// the kernel's block law holds — the skyline pass's blocks plus one
+/// skyline's worth of blocks (scanned or zone-map skipped) per full
+/// dominator scan, where memo hits run no scan. The skyline size and
+/// the skyline pass's blocks are pure functions of the workload and
+/// must match the baseline.
 fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     for (f, b) in [
         (fresh.get("schema"), baseline.get("schema")),
@@ -519,6 +527,7 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
             fresh.get("samples_per_config"),
             baseline.get("samples_per_config"),
         ),
+        (fresh.get("min_sample_us"), baseline.get("min_sample_us")),
     ] {
         match (f, b) {
             (Some(f), Some(b)) if render(f) == render(b) => {}
@@ -527,65 +536,96 @@ fn gate_probing(gate: &mut Gate, fresh: &Json, baseline: &Json) {
             )),
         }
     }
-    gate.workload(fresh, baseline);
-    gate.wall("probing", "sequential_wall_us", fresh, baseline);
-
-    let (Some(fresh_rows), Some(base_rows)) = (rows(fresh, "runs"), rows(baseline, "runs")) else {
-        gate.fail("runs array missing".into());
+    gate.check(is_true(fresh, "all_runs_bit_identical"), || {
+        "probing: executor results diverged from the sequential oracle".into()
+    });
+    let (Some(fresh_wls), Some(base_wls)) = (rows(fresh, "workloads"), rows(baseline, "workloads"))
+    else {
+        gate.fail("workloads array missing".into());
         return;
     };
-    let t_size = baseline
+    let name = |w: &Json| {
+        w.get("name")
+            .and_then(|v| v.as_str())
+            .unwrap_or("?")
+            .to_string()
+    };
+    for bwl in base_wls {
+        let wl = name(bwl);
+        let Some(fwl) = fresh_wls.iter().find(|w| name(w) == wl) else {
+            gate.fail(format!("probing workload {wl}: missing from fresh report"));
+            continue;
+        };
+        let what = format!("probing workload {wl}");
+        gate.workload(fwl, bwl);
+        gate.exact(&what, "skyline_len", fwl, bwl);
+        gate.exact(&what, "sfs_kernel_blocks", fwl, bwl);
+        gate.wall(&what, "sequential_wall_us", fwl, bwl);
+        gate_probing_rows(gate, &wl, fwl, bwl);
+    }
+    gate.check(fresh_wls.len() == base_wls.len(), || {
+        format!(
+            "probing workload count changed: fresh {} vs baseline {}",
+            fresh_wls.len(),
+            base_wls.len()
+        )
+    });
+}
+
+fn gate_probing_rows(gate: &mut Gate, wl: &str, fresh: &Json, baseline: &Json) {
+    let (Some(fresh_rows), Some(base_rows)) = (rows(fresh, "runs"), rows(baseline, "runs")) else {
+        gate.fail(format!("probing workload {wl}: runs array missing"));
+        return;
+    };
+    let t_size = fresh
         .get("workload")
         .and_then(|w| num(w, "t_size"))
-        .unwrap_or(0.0);
-    let key = |row: &Json| {
-        (
-            row.get("strategy")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string(),
-            num(row, "threads").unwrap_or(-1.0) as i64,
-        )
-    };
+        .unwrap_or(-1.0);
+    let skyline_blocks = num(fresh, "skyline_blocks").unwrap_or(-1.0);
+    let sfs_blocks = num(fresh, "sfs_kernel_blocks").unwrap_or(-1.0);
+    let threads = |row: &Json| num(row, "threads").unwrap_or(-1.0) as i64;
     for brow in base_rows {
-        let (strategy, threads) = key(brow);
-        let what = format!("probing row {strategy}/{threads}t");
-        let Some(frow) = fresh_rows.iter().find(|r| key(r) == key(brow)) else {
+        let what = format!("probing row {wl}/{}t", threads(brow));
+        let Some(frow) = fresh_rows.iter().find(|r| threads(r) == threads(brow)) else {
             gate.fail(format!("{what}: missing from fresh report"));
             continue;
         };
         gate.check(is_true(frow, "bit_identical_to_sequential"), || {
-            format!("{what}: scheduled results diverged from the sequential oracle")
+            format!("{what}: executor results diverged from the sequential oracle")
         });
-        // Static-chunk and work-stealing evaluate every product; their
-        // counts are deterministic. Bound-sorted pruning races on the
-        // shared threshold above one thread, so there only the
-        // conservation law evaluated + pruned == t_size is exact.
-        if strategy != "bound_sorted" || threads == 1 {
-            gate.exact(&what, "evaluated", frow, brow);
-            gate.exact(&what, "pruned", frow, brow);
-        } else {
-            let e = num(frow, "evaluated").unwrap_or(-1.0);
-            let p = num(frow, "pruned").unwrap_or(-1.0);
-            gate.check(e + p == t_size, || {
-                format!(
-                    "{what}: evaluated {e} + pruned {p} != t_size {t_size} \
-                     (products lost or double-counted)"
-                )
-            });
-        }
-        if let (Some(fc), Some(bc)) = (frow.get("counters"), brow.get("counters")) {
-            gate.exact(&what, "results_emitted", fc, bc);
-            let panics = num(fc, "worker_panics").unwrap_or(-1.0);
-            gate.check(panics == 0.0, || format!("{what}: {panics} worker panics"));
-        } else {
+        let evaluated = num(frow, "evaluated").unwrap_or(-1.0);
+        gate.check(evaluated == t_size, || {
+            format!("{what}: evaluated {evaluated} != t_size {t_size}")
+        });
+        let Some(fc) = frow.get("counters") else {
             gate.fail(format!("{what}: counters object missing"));
+            continue;
+        };
+        let counter = |name: &str| num(fc, name).unwrap_or(-1.0);
+        gate.check(counter("products_evaluated") == t_size, || {
+            format!(
+                "{what}: products_evaluated {} != t_size {t_size}",
+                counter("products_evaluated")
+            )
+        });
+        let blocks = counter("kernel_block_scans") + counter("kernel_blocks_skipped");
+        let full_scans = t_size - counter("dominator_memo_hits");
+        gate.check(blocks == sfs_blocks + full_scans * skyline_blocks, || {
+            format!(
+                "{what}: kernel blocks {blocks} != skyline pass {sfs_blocks} + \
+                 {full_scans} full scans x {skyline_blocks} blocks"
+            )
+        });
+        if let Some(bc) = brow.get("counters") {
+            gate.exact(&what, "results_emitted", fc, bc);
         }
+        let panics = counter("worker_panics");
+        gate.check(panics == 0.0, || format!("{what}: {panics} worker panics"));
         gate.wall(&what, "wall_us", frow, brow);
     }
     gate.check(fresh_rows.len() == base_rows.len(), || {
         format!(
-            "probing run count changed: fresh {} vs baseline {}",
+            "probing workload {wl}: run count changed: fresh {} vs baseline {}",
             fresh_rows.len(),
             base_rows.len()
         )

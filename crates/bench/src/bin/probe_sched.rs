@@ -1,38 +1,47 @@
-//! Probe-scheduler shoot-out: static chunking vs. work-stealing vs.
-//! bound-sorted work-stealing at 1/2/4/8 threads, as JSON.
+//! Probe-executor bench: `probe_topk` at 1/2/4/8 threads on two
+//! workloads, against sequential improved probing, as JSON.
 //!
-//! The workload is a fig8-scale synthetic: anti-correlated `P` on the
-//! unit cube (many skyline points, so `getDominatingSky` has real work
-//! to do) and uncompetitive `T` shifted to `[0.3, 1.3]` under a linear
-//! per-attribute cost — the regime where the admissible list bound is
-//! positive and the shared-threshold screen actually fires. Every
-//! scheduled run is checked bit-for-bit against the sequential
-//! `improved_probing_topk` oracle before its timing is trusted.
+//! * `interleaved_linear` — anti-correlated `P` on the unit cube and
+//!   uncompetitive `T` shifted to `[0.3, 1.3]` under a linear
+//!   per-attribute cost: the layout where an admissible lower-bound
+//!   screen could prune most of `T`.
+//! * `paper_reciprocal` — the paper's setup: the same `P`, `T` in
+//!   `(1, 2]^3`, reciprocal cost. No bound screen prunes anything here.
 //!
-//! Wall-clock is the machine-dependent half of the output; the counter
-//! snapshot (`ProductsEvaluated`, `ThresholdPrunes`, `StealEvents`, …)
-//! is the machine-independent half, so scheduler regressions show up as
-//! diffs of `bench_results/BENCH_probing.json` even when timings drift.
-//! Set `SKYUP_BENCH_OUT` to redirect the report (CI smoke runs do).
+//! The executor evaluates every product on both, so each row's counter
+//! snapshot is a pure function of the workload: `products_evaluated ==
+//! |T|`, and the kernel's block accounting is exact (the skyline pass's
+//! blocks plus, per full dominator scan, the skyline's block count).
+//! Every row is checked bit-for-bit against `improved_probing_topk`
+//! before its timing is trusted. Each timing sample repeats the call
+//! until it has run for at least [`MIN_SAMPLE`]; samples are taken in
+//! rounds, one per configuration per round, so a slow stretch of a
+//! shared host lands on every configuration alike, and the median
+//! sample is reported per call. The header records the host's available
+//! parallelism and CPU model, so thread scaling reads against the
+//! cores that were actually there. Set `SKYUP_BENCH_OUT` to redirect
+//! the report.
 
 use std::time::Duration;
 
-use skyup_bench::runner::build_trees;
 use skyup_bench::{fmt_duration, parse_args, time};
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
-use skyup_core::{
-    improved_probing_topk, improved_probing_topk_scheduled_rec, ProbeStrategy, UpgradeConfig,
-    UpgradeResult,
-};
-use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
+use skyup_core::{improved_probing_topk, probe_topk, ProbeOptions, UpgradeConfig, UpgradeResult};
+use skyup_data::synthetic::{generate, paper_products, Distribution, SyntheticConfig};
+use skyup_geom::{PointStore, DOM_BLOCK};
 use skyup_obs::json::Json;
-use skyup_obs::{Counter, QueryMetrics};
+use skyup_obs::{Counter, NullRecorder, QueryMetrics};
+use skyup_rtree::{RTree, RTreeParams};
+use skyup_skyline::skyline_sfs_rec;
 
 /// Timing samples per configuration; the median is reported.
-const SAMPLES: usize = 5;
-/// Top-k size — small enough that the threshold tightens early.
+const SAMPLES: usize = 11;
+/// Each sample repeats the timed call until at least this much time
+/// has passed, so millisecond-scale rows are not single-shot.
+const MIN_SAMPLE: Duration = Duration::from_millis(20);
 const K: usize = 10;
 const DIMS: usize = 3;
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn linear_cost(dims: usize) -> SumCost {
     SumCost::new(
@@ -54,21 +63,190 @@ fn counters_json(m: &QueryMetrics) -> Json {
 /// Bit-level equality: same products in the same order with identical
 /// cost and coordinate bits.
 fn bit_identical(a: &[UpgradeResult], b: &[UpgradeResult]) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.product == y.product
                 && x.cost.to_bits() == y.cost.to_bits()
-                && x.original.len() == y.original.len()
-                && x.upgraded.len() == y.upgraded.len()
-                && (x.original.iter().zip(&y.original)).all(|(u, v)| u.to_bits() == v.to_bits())
-                && (x.upgraded.iter().zip(&y.upgraded)).all(|(u, v)| u.to_bits() == v.to_bits())
+                && bits(&x.original) == bits(&y.original)
+                && bits(&x.upgraded) == bits(&y.upgraded)
         })
 }
 
-fn median_wall(mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..SAMPLES).map(|_| time(&mut f).0).collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// Per-call wall-clock of one sample: `f` repeated until at least
+/// [`MIN_SAMPLE`] has passed.
+fn sample(f: &mut dyn FnMut()) -> Duration {
+    let mut calls = 0u32;
+    let (elapsed, ()) = time(|| {
+        let start = std::time::Instant::now();
+        while calls == 0 || start.elapsed() < MIN_SAMPLE {
+            f();
+            calls += 1;
+        }
+    });
+    elapsed / calls
+}
+
+/// Median per-call wall-clock of each configuration over [`SAMPLES`]
+/// interleaved rounds.
+fn median_walls(configs: &mut [Box<dyn FnMut() + '_>]) -> Vec<Duration> {
+    let mut samples = vec![Vec::with_capacity(SAMPLES); configs.len()];
+    for _ in 0..SAMPLES {
+        for (f, s) in configs.iter_mut().zip(&mut samples) {
+            s.push(sample(f.as_mut()));
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_unstable();
+            s[s.len() / 2]
+        })
+        .collect()
+}
+
+/// `available_parallelism` and the first `model name` of
+/// `/proc/cpuinfo` (`"unknown"` where that file does not exist).
+fn host_json() -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    Json::obj(vec![
+        ("available_parallelism", Json::Num(cores as f64)),
+        ("cpu_model", Json::Str(model)),
+    ])
+}
+
+struct Workload {
+    name: &'static str,
+    t: PointStore,
+    t_domain: &'static str,
+    cost: SumCost,
+    cost_name: &'static str,
+}
+
+/// Times sequential improved probing and the executor at every width
+/// on one workload; returns its JSON record and whether every row was
+/// bit-identical to the sequential answer.
+fn run_workload(
+    p: &PointStore,
+    rp: &RTree,
+    w: &Workload,
+    p_size: usize,
+    seed: u64,
+) -> (Json, bool) {
+    let cfg = UpgradeConfig::default();
+    let t = &w.t;
+    println!(
+        "  workload {} (T in {}, {})",
+        w.name, w.t_domain, w.cost_name
+    );
+
+    let reference = improved_probing_topk(p, rp, t, K, &w.cost, &cfg);
+
+    // The skyline pass is deterministic; record its kernel blocks and
+    // size so the gate can check the executor's block law exactly.
+    let ids: Vec<_> = p.ids().collect();
+    let mut sky_metrics = QueryMetrics::new();
+    let skyline_len = skyline_sfs_rec(p, &ids, &mut sky_metrics).len();
+    let sfs_blocks =
+        sky_metrics.get(Counter::KernelBlockScans) + sky_metrics.get(Counter::KernelBlocksSkipped);
+
+    // One checked, instrumented run per width before any timing.
+    let options: Vec<ProbeOptions> = THREADS
+        .iter()
+        .map(|&threads| ProbeOptions {
+            threads,
+            ..ProbeOptions::default()
+        })
+        .collect();
+    let mut all_identical = true;
+    let checked: Vec<(usize, bool, QueryMetrics)> = options
+        .iter()
+        .map(|opts| {
+            let mut metrics = QueryMetrics::new();
+            let out = probe_topk(p, t, K, &w.cost, &cfg, opts, &mut metrics)
+                .expect("unlimited executor run");
+            let identical = bit_identical(&out.results, &reference);
+            all_identical &= identical;
+            (out.evaluated, identical, metrics)
+        })
+        .collect();
+
+    let mut configs: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(|| {
+        std::hint::black_box(improved_probing_topk(p, rp, t, K, &w.cost, &cfg));
+    })];
+    for opts in &options {
+        let cfg = &cfg;
+        configs.push(Box::new(move || {
+            std::hint::black_box(
+                probe_topk(p, t, K, &w.cost, cfg, opts, &mut NullRecorder)
+                    .expect("unlimited executor run"),
+            );
+        }));
+    }
+    let walls = median_walls(&mut configs);
+    drop(configs);
+    let seq_wall = walls[0];
+    println!(
+        "    sequential improved probing: {}",
+        fmt_duration(seq_wall)
+    );
+
+    let mut runs = Vec::new();
+    for ((threads, wall), (evaluated, identical, metrics)) in
+        THREADS.iter().zip(&walls[1..]).zip(&checked)
+    {
+        println!(
+            "    executor threads={threads}: {}  evaluated={evaluated}{}",
+            fmt_duration(*wall),
+            if *identical { "" } else { "  MISMATCH" },
+        );
+        runs.push(Json::obj(vec![
+            ("threads", Json::Num(*threads as f64)),
+            ("wall_us", Json::Num(wall.as_micros() as f64)),
+            (
+                "speedup_vs_sequential",
+                Json::Num(seq_wall.as_secs_f64() / wall.as_secs_f64()),
+            ),
+            ("bit_identical_to_sequential", Json::Bool(*identical)),
+            ("evaluated", Json::Num(*evaluated as f64)),
+            ("counters", counters_json(metrics)),
+        ]));
+    }
+
+    let doc = Json::obj(vec![
+        ("name", Json::Str(w.name.into())),
+        (
+            "workload",
+            Json::obj(vec![
+                ("p_size", Json::Num(p_size as f64)),
+                ("t_size", Json::Num(t.len() as f64)),
+                ("dims", Json::Num(DIMS as f64)),
+                ("k", Json::Num(K as f64)),
+                ("seed", Json::Num(seed as f64)),
+                ("p_distribution", Json::Str("anti_correlated_unit".into())),
+                ("t_domain", Json::Str(w.t_domain.into())),
+                ("cost", Json::Str(w.cost_name.into())),
+            ]),
+        ),
+        ("skyline_len", Json::Num(skyline_len as f64)),
+        (
+            "skyline_blocks",
+            Json::Num(skyline_len.div_ceil(DOM_BLOCK) as f64),
+        ),
+        ("sfs_kernel_blocks", Json::Num(sfs_blocks as f64)),
+        ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
+        ("runs", Json::Arr(runs)),
+    ]);
+    (doc, all_identical)
 }
 
 fn main() {
@@ -80,155 +258,52 @@ fn main() {
         p_size,
         &SyntheticConfig::unit(DIMS, Distribution::AntiCorrelated, args.seed),
     );
-    let t = generate(
-        t_size,
-        &SyntheticConfig {
-            dims: DIMS,
-            distribution: Distribution::Independent,
-            lo: 0.3,
-            hi: 1.3,
-            seed: args.seed ^ 0x5eed,
+    let rp = RTree::bulk_load(&p, RTreeParams::default());
+    let workloads = [
+        Workload {
+            name: "interleaved_linear",
+            t: generate(
+                t_size,
+                &SyntheticConfig {
+                    dims: DIMS,
+                    distribution: Distribution::Independent,
+                    lo: 0.3,
+                    hi: 1.3,
+                    seed: args.seed ^ 0x5eed,
+                },
+            ),
+            t_domain: "independent [0.3, 1.3]",
+            cost: linear_cost(DIMS),
+            cost_name: "sum of linear(2.0, 1.0) per dim",
         },
-    );
-    let (rp, _rt) = build_trees(&p, &t);
-    let cost = linear_cost(DIMS);
-    let cfg = UpgradeConfig::default();
+        Workload {
+            name: "paper_reciprocal",
+            t: paper_products(t_size, DIMS, Distribution::Independent, args.seed ^ 0x5eed),
+            t_domain: "independent (1, 2]",
+            cost: SumCost::reciprocal(DIMS, 1e-3),
+            cost_name: "sum of reciprocal(1e-3) per dim",
+        },
+    ];
 
     println!(
-        "probe scheduler bench: |P|={p_size} |T|={t_size} d={DIMS} k={K} seed={}",
+        "probe executor bench: |P|={p_size} |T|={t_size} d={DIMS} k={K} seed={}",
         args.seed
     );
-
-    // Sequential oracle: result reference and the wall-clock baseline.
-    let reference = improved_probing_topk(&p, &rp, &t, K, &cost, &cfg);
-    let seq_wall = median_wall(|| {
-        std::hint::black_box(improved_probing_topk(&p, &rp, &t, K, &cost, &cfg));
-    });
-    println!("  sequential improved probing: {}", fmt_duration(seq_wall));
-
-    let strategies = [
-        ProbeStrategy::StaticChunk,
-        ProbeStrategy::WorkStealing,
-        ProbeStrategy::BoundSorted,
-    ];
-    let thread_counts = [1usize, 2, 4, 8];
-
-    let mut runs = Vec::new();
+    let mut records = Vec::new();
     let mut all_identical = true;
-    // (wall, evaluated) at 4 threads, indexed by strategy, for the
-    // acceptance comparison.
-    let mut at4: Vec<(&'static str, Duration, u64)> = Vec::new();
-
-    for strategy in strategies {
-        for threads in thread_counts {
-            let mut metrics = QueryMetrics::default();
-            let (results, stats) = improved_probing_topk_scheduled_rec(
-                &p,
-                &rp,
-                &t,
-                K,
-                &cost,
-                &cfg,
-                threads,
-                strategy,
-                &mut metrics,
-            );
-            let identical = bit_identical(&results, &reference);
-            all_identical &= identical;
-
-            let wall = median_wall(|| {
-                std::hint::black_box(improved_probing_topk_scheduled_rec(
-                    &p,
-                    &rp,
-                    &t,
-                    K,
-                    &cost,
-                    &cfg,
-                    threads,
-                    strategy,
-                    &mut skyup_obs::NullRecorder,
-                ));
-            });
-            println!(
-                "  {:<13} threads={threads}: {}  evaluated={} pruned={}{}",
-                strategy.name(),
-                fmt_duration(wall),
-                stats.evaluated,
-                stats.pruned,
-                if identical { "" } else { "  MISMATCH" },
-            );
-            if threads == 4 {
-                at4.push((strategy.name(), wall, stats.evaluated));
-            }
-            runs.push(Json::obj(vec![
-                ("strategy", Json::Str(strategy.name().into())),
-                ("threads", Json::Num(threads as f64)),
-                ("wall_us", Json::Num(wall.as_micros() as f64)),
-                (
-                    "speedup_vs_sequential",
-                    Json::Num(seq_wall.as_secs_f64() / wall.as_secs_f64()),
-                ),
-                ("bit_identical_to_sequential", Json::Bool(identical)),
-                ("evaluated", Json::Num(stats.evaluated as f64)),
-                ("pruned", Json::Num(stats.pruned as f64)),
-                ("counters", counters_json(&metrics)),
-            ]));
-        }
+    for w in &workloads {
+        let (doc, identical) = run_workload(&p, &rp, w, p_size, args.seed);
+        records.push(doc);
+        all_identical &= identical;
     }
 
-    // Acceptance: at 4 threads the bound-sorted prober must beat the
-    // static-chunk prober on both wall-clock and products evaluated.
-    let chunk4 = at4.iter().find(|(n, ..)| *n == "static_chunk").unwrap();
-    let sorted4 = at4.iter().find(|(n, ..)| *n == "bound_sorted").unwrap();
-    let wall_win = sorted4.1 < chunk4.1;
-    let eval_win = sorted4.2 < chunk4.2;
-    println!(
-        "  acceptance @4 threads: wall {} vs {} ({}), evaluated {} vs {} ({})",
-        fmt_duration(sorted4.1),
-        fmt_duration(chunk4.1),
-        if wall_win { "win" } else { "LOSS" },
-        sorted4.2,
-        chunk4.2,
-        if eval_win { "win" } else { "LOSS" },
-    );
-
     let doc = Json::obj(vec![
-        ("schema", Json::Str("skyup-bench-probing/1".into())),
-        (
-            "workload",
-            Json::obj(vec![
-                ("p_size", Json::Num(p_size as f64)),
-                ("t_size", Json::Num(t_size as f64)),
-                ("dims", Json::Num(DIMS as f64)),
-                ("k", Json::Num(K as f64)),
-                ("seed", Json::Num(args.seed as f64)),
-                ("p_distribution", Json::Str("anti_correlated_unit".into())),
-                ("t_domain", Json::Str("independent [0.3, 1.3]".into())),
-                ("cost", Json::Str("sum of linear(2.0, 1.0) per dim".into())),
-            ]),
-        ),
+        ("schema", Json::Str("skyup-bench-probing/2".into())),
+        ("host", host_json()),
         ("samples_per_config", Json::Num(SAMPLES as f64)),
-        ("sequential_wall_us", Json::Num(seq_wall.as_micros() as f64)),
-        ("runs", Json::Arr(runs)),
-        (
-            "acceptance",
-            Json::obj(vec![
-                ("threads", Json::Num(4.0)),
-                (
-                    "static_chunk_wall_us",
-                    Json::Num(chunk4.1.as_micros() as f64),
-                ),
-                (
-                    "bound_sorted_wall_us",
-                    Json::Num(sorted4.1.as_micros() as f64),
-                ),
-                ("wall_clock_win", Json::Bool(wall_win)),
-                ("static_chunk_evaluated", Json::Num(chunk4.2 as f64)),
-                ("bound_sorted_evaluated", Json::Num(sorted4.2 as f64)),
-                ("evaluated_win", Json::Bool(eval_win)),
-                ("all_runs_bit_identical", Json::Bool(all_identical)),
-            ]),
-        ),
+        ("min_sample_us", Json::Num(MIN_SAMPLE.as_micros() as f64)),
+        ("workloads", Json::Arr(records)),
+        ("all_runs_bit_identical", Json::Bool(all_identical)),
     ]);
 
     let path = std::env::var("SKYUP_BENCH_OUT")
@@ -244,6 +319,6 @@ fn main() {
 
     assert!(
         all_identical,
-        "scheduled probing diverged from the sequential oracle"
+        "the probe executor diverged from sequential improved probing"
     );
 }

@@ -127,10 +127,35 @@ impl fmt::Display for SkyupError {
 
 impl std::error::Error for SkyupError {}
 
-/// The validation shared by every `try_*` query entry point.
+/// The validation shared by every `try_*` query entry point that
+/// searches a competitor R-tree: [`validate_inputs`] plus a non-empty
+/// `P` indexed by `p_tree`.
 pub(crate) fn validate_query<C: CostFunction + ?Sized>(
     p_store: &PointStore,
     p_tree: &RTree,
+    t_store: &PointStore,
+    k: usize,
+    cost_fn: &C,
+) -> Result<(), SkyupError> {
+    validate_inputs(p_store, t_store, k, cost_fn)?;
+    if p_store.is_empty() {
+        return Err(SkyupError::EmptyCompetitorSet);
+    }
+    if p_tree.len() != p_store.len() {
+        return Err(SkyupError::IndexMismatch {
+            tree: "R_P",
+            tree_len: p_tree.len(),
+            store_len: p_store.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Dimensionalities, `k >= 1`, and cost-function monotonicity on
+/// sampled data — everything a query needs that does not involve an
+/// index.
+pub(crate) fn validate_inputs<C: CostFunction + ?Sized>(
+    p_store: &PointStore,
     t_store: &PointStore,
     k: usize,
     cost_fn: &C,
@@ -150,16 +175,6 @@ pub(crate) fn validate_query<C: CostFunction + ?Sized>(
     }
     if k == 0 {
         return Err(SkyupError::InvalidConfig("k must be at least 1".into()));
-    }
-    if p_store.is_empty() {
-        return Err(SkyupError::EmptyCompetitorSet);
-    }
-    if p_tree.len() != p_store.len() {
-        return Err(SkyupError::IndexMismatch {
-            tree: "R_P",
-            tree_len: p_tree.len(),
-            store_len: p_store.len(),
-        });
     }
     verify_monotone_on(cost_fn, p_store, MONOTONE_SAMPLE_LIMIT)
         .map_err(SkyupError::NonMonotoneCost)?;

@@ -134,8 +134,7 @@ pub fn list_bound<C: CostFunction + ?Sized>(
             // grouping below degenerates to a single max — which is
             // exactly the sound aggressive bound: the upgrade must
             // escape every fully dominating entry. Take that path
-            // without the map (the bound-sorted probe scheduler calls
-            // this once per product; it must not allocate).
+            // without the map: no per-call allocation.
             if mode == BoundMode::Admissible {
                 let mut max = 0.0f64;
                 for &e in jl {

@@ -73,17 +73,13 @@ pub use error::SkyupError;
 pub use join::{try_join_topk, BoundMode, JoinStats, JoinUpgrader, LowerBound};
 pub use optimal::optimal_upgrade;
 pub use probing::{
-    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk,
-    improved_probing_topk_parallel, improved_probing_topk_parallel_rec, improved_probing_topk_rec,
-    improved_probing_topk_scheduled, improved_probing_topk_scheduled_rec,
-    improved_probing_topk_with_skyline, improved_probing_topk_with_skyline_rec, run_probe_batch,
-    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_parallel,
-    try_improved_probing_topk_pruned, try_improved_probing_topk_scheduled, BatchItem, BatchOutput,
-    ItemAnswer, ProbeStrategy, PruningStats,
+    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
+    probe_topk, run_probe_batch, try_basic_probing_topk, try_improved_probing_topk, BatchItem,
+    BatchOutput, ItemAnswer, ProbeOptions,
 };
 pub use result::{AnytimeTopK, UpgradeResult};
 pub use single_set::single_set_topk;
-pub use topk::{SharedThreshold, TopK};
+pub use topk::TopK;
 pub use upgrade::{
     dominators_from_skyline, try_upgrade_single, upgrade_single, upgrade_single_into,
     upgrade_single_presorted_into, DimOrders, UpgradeScratch,

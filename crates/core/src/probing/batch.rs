@@ -60,13 +60,12 @@
 //! first cut), so the retained prefix is complete and each retained
 //! answer is exact. [`BatchOutput::first_cut`] reports that index.
 //!
-//! Deliberate deviation from the bound-sorted scheduler: batch claims
-//! are *not* sorted by a screening lower bound, and there is no shared
-//! admission threshold. Every computed answer must be materialized
-//! anyway — the result cache learns batch fills, and per-request top-k
-//! merges must fold in cache hits the executor never sees — so
-//! threshold pruning could not skip any work, while a bound-sorted
-//! claim order would break the first-cut prefix guarantee above.
+//! Claims are *not* sorted by a screening lower bound, and there is no
+//! shared admission threshold. Every computed answer must be
+//! materialized anyway — the result cache learns batch fills, and
+//! per-request top-k merges must fold in cache hits the executor never
+//! sees — and a bound-sorted claim order would break the first-cut
+//! prefix guarantee above.
 
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
@@ -75,7 +74,7 @@ use crate::upgrade::{upgrade_single_presorted_into, DimOrders, UpgradeScratch};
 use skyup_geom::{ColumnarPoints, PointId, PointStore};
 use skyup_obs::{timed, Counter, ExecGuard, Interrupt, Phase, QueryMetrics, Recorder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One product of one request, flattened into the batch work list.
 /// Items must be listed in request-major index order (all of a request's
@@ -149,6 +148,18 @@ const MEMO_MIN_SKYLINE: usize = 128;
 /// Minimum items per spawned worker: below this, a worker's share of
 /// the batch is cheaper than spawning it.
 const MIN_ITEMS_PER_WORKER: usize = 32;
+
+/// The host's available parallelism, read once per process: on Linux
+/// `available_parallelism` reads cgroup files on every call, which
+/// costs tens of microseconds per batch.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
 
 struct MemoEntry {
     t: Vec<f64>,
@@ -314,12 +325,9 @@ where
     // startup, and never exceed the hardware's actual parallelism:
     // extra workers on a saturated machine only add context-switch
     // churn. Small batches run inline on the caller's thread.
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
     let workers = threads
         .max(1)
-        .min(hw)
+        .min(hardware_threads())
         .min(n.div_ceil(MIN_ITEMS_PER_WORKER))
         .max(1);
 

@@ -6,8 +6,8 @@ use crate::cost::CostFunction;
 use crate::error::{validate_query, SkyupError};
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::TopK;
-use crate::upgrade::{dominators_from_skyline, upgrade_single};
-use skyup_geom::{PointId, PointStore};
+use crate::upgrade::upgrade_single;
+use skyup_geom::PointStore;
 use skyup_obs::{timed, Completion, Counter, ExecutionLimits, NullRecorder, Phase, Recorder};
 use skyup_rtree::RTree;
 use skyup_skyline::{dominating_skyline_lim, dominating_skyline_rec};
@@ -55,77 +55,6 @@ pub fn improved_probing_topk_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>
         for (tid, t) in t_store.iter() {
             let skyline = timed(rec, Phase::DominatingSky, |rec| {
                 dominating_skyline_rec(p_store, p_tree, t, rec)
-            });
-            let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
-                upgrade_single(p_store, &skyline, t, cost_fn, cfg)
-            });
-            rec.bump(Counter::ProductsEvaluated);
-            topk.offer(UpgradeResult {
-                product: tid,
-                original: t.to_vec(),
-                upgraded,
-                cost,
-            });
-        }
-    });
-    let results = topk.into_sorted();
-    rec.incr(Counter::ResultsEmitted, results.len() as u64);
-    results
-}
-
-/// Improved probing over an externally supplied, precomputed skyline of
-/// the full competitor set: per product, `getDominatingSky` is replaced
-/// by a linear filter of `p_skyline` down to `t`'s dominators (see
-/// [`dominators_from_skyline`] for the identity making this exact).
-/// Needs no competitor R-tree at query time, which is what lets a
-/// serving snapshot amortize one skyline computation across every
-/// request. Results equal [`improved_probing_topk`] when `p_skyline` is
-/// the skyline of `p_store`.
-pub fn improved_probing_topk_with_skyline<C: CostFunction + ?Sized>(
-    p_store: &PointStore,
-    p_skyline: &[PointId],
-    t_store: &PointStore,
-    k: usize,
-    cost_fn: &C,
-    cfg: &UpgradeConfig,
-) -> Vec<UpgradeResult> {
-    improved_probing_topk_with_skyline_rec(
-        p_store,
-        p_skyline,
-        t_store,
-        k,
-        cost_fn,
-        cfg,
-        &mut NullRecorder,
-    )
-}
-
-/// [`improved_probing_topk_with_skyline`] with instrumentation; the
-/// skyline filter is charged to [`Phase::DominatingSky`] and its
-/// dominance tests are counted like any other variant's.
-#[allow(clippy::too_many_arguments)]
-pub fn improved_probing_topk_with_skyline_rec<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
-    p_store: &PointStore,
-    p_skyline: &[PointId],
-    t_store: &PointStore,
-    k: usize,
-    cost_fn: &C,
-    cfg: &UpgradeConfig,
-    rec: &mut R,
-) -> Vec<UpgradeResult> {
-    assert_eq!(
-        p_store.dims(),
-        t_store.dims(),
-        "P and T dimensionality differ"
-    );
-    if t_store.is_empty() {
-        return Vec::new();
-    }
-    let mut topk = TopK::new(k);
-    timed(rec, Phase::ProbeLoop, |rec| {
-        for (tid, t) in t_store.iter() {
-            let skyline = timed(rec, Phase::DominatingSky, |rec| {
-                dominators_from_skyline(p_store, p_skyline, t, rec)
             });
             let (cost, upgraded) = timed(rec, Phase::Upgrade, |_| {
                 upgrade_single(p_store, &skyline, t, cost_fn, cfg)

@@ -12,47 +12,37 @@
 //!   dominated by already-found skyline points.
 //!
 //! Neither algorithm is progressive: no result can be reported until all
-//! of `T` has been processed (Section IV-B notes this).
+//! of `T` has been processed (Section IV-B notes this). Both stay as
+//! the paper's sequential reference implementations: the figures and
+//! the oracles run them.
 //!
-//! Library extensions: [`improved_probing_topk_parallel`] partitions
-//! `T` across threads (bit-identical results),
-//! [`improved_probing_topk_pruned`] screens products with a cheap
-//! admissible lower bound before paying for the full evaluation, and
-//! [`run_probe_batch`] evaluates the flattened product union of many
-//! *requests* against one shared skyline with work stealing, a
-//! cross-request dominator memo, and per-request execution limits
-//! (the `skyup-serve` batch pipeline's engine).
+//! Everything else runs on one executor, [`run_probe_batch`]: it
+//! evaluates the flattened product union of many *requests* against
+//! one shared, id-sorted skyline of `P` with the columnar dominance
+//! kernel, work stealing, a cross-request dominator memo, and
+//! per-request execution limits. Because a product's dominator skyline
+//! is `{s ∈ skyline(P) : s ≺ t}`, paying for the skyline once answers
+//! every product exactly. The `skyup-serve` batch pipeline and the
+//! coordinator's gather call it directly; [`probe_topk`] runs a single
+//! top-k query through it as a batch of one request, in fixed-size
+//! chunks of `T`.
 //!
-//! Every variant also has a fallible `try_*` twin that validates its
-//! inputs (returning [`crate::SkyupError`] instead of panicking) and
-//! runs under [`skyup_obs::ExecutionLimits`], degrading to a tagged
-//! best-so-far answer ([`crate::AnytimeTopK`]) when a budget fires.
+//! [`probe_topk`], [`try_basic_probing_topk`] and
+//! [`try_improved_probing_topk`] are the fallible entry points: they
+//! validate their inputs (returning [`crate::SkyupError`] instead of
+//! panicking) and run under [`skyup_obs::ExecutionLimits`], degrading
+//! to a tagged best-so-far answer ([`crate::AnytimeTopK`]) when a
+//! budget fires.
 
 mod basic;
 mod batch;
 mod improved;
-mod parallel;
-mod pruned;
-mod scheduler;
+mod probe_topk;
 
 pub use basic::{basic_probing_topk, basic_probing_topk_rec, try_basic_probing_topk};
 pub use batch::{run_probe_batch, BatchItem, BatchOutput, ItemAnswer};
-pub use improved::{
-    improved_probing_topk, improved_probing_topk_rec, improved_probing_topk_with_skyline,
-    improved_probing_topk_with_skyline_rec, try_improved_probing_topk,
-};
-pub use parallel::{
-    improved_probing_topk_parallel, improved_probing_topk_parallel_rec,
-    try_improved_probing_topk_parallel,
-};
-pub use pruned::{
-    improved_probing_topk_pruned, improved_probing_topk_pruned_rec,
-    try_improved_probing_topk_pruned, PruningStats,
-};
-pub use scheduler::{
-    improved_probing_topk_scheduled, improved_probing_topk_scheduled_rec,
-    try_improved_probing_topk_scheduled, ProbeStrategy,
-};
+pub use improved::{improved_probing_topk, improved_probing_topk_rec, try_improved_probing_topk};
+pub use probe_topk::{probe_topk, ProbeOptions};
 
 #[cfg(test)]
 mod tests {
@@ -98,30 +88,6 @@ mod tests {
             let ia: Vec<u32> = a.iter().map(|r| r.product.0).collect();
             let ib: Vec<u32> = b.iter().map(|r| r.product.0).collect();
             assert_eq!(ia, ib);
-        }
-    }
-
-    #[test]
-    fn with_skyline_matches_self_computed_path() {
-        for dims in [2, 3] {
-            let p = pseudo_random_store(400, dims, 0.0, 1.0, 0xc1 + dims as u64);
-            let t = pseudo_random_store(60, dims, 0.5, 1.5, 0xd2 + dims as u64);
-            let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(8));
-            let cost = SumCost::reciprocal(dims, 1e-3);
-            let cfg = UpgradeConfig::default();
-            let all: Vec<_> = p.iter().map(|(id, _)| id).collect();
-            let mut sky = skyup_skyline::skyline_sfs(&p, &all);
-            sky.sort();
-            let a = improved_probing_topk(&p, &rp, &t, 10, &cost, &cfg);
-            let b = improved_probing_topk_with_skyline(&p, &sky, &t, 10, &cost, &cfg);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.product, y.product);
-                assert_eq!(x.cost.to_bits(), y.cost.to_bits());
-                let xb: Vec<u64> = x.upgraded.iter().map(|v| v.to_bits()).collect();
-                let yb: Vec<u64> = y.upgraded.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(xb, yb);
-            }
         }
     }
 

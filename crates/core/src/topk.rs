@@ -1,11 +1,8 @@
-//! A bounded top-k collector for upgrade results (smallest cost wins),
-//! plus the lock-free shared threshold cell parallel probing workers
-//! publish their k-th-best cost through.
+//! A bounded top-k collector for upgrade results (smallest cost wins).
 
 use crate::result::UpgradeResult;
 use skyup_geom::OrderedF64;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Heap entry ordered by `(cost, product id)` only; the payload does not
 /// participate in comparisons.
@@ -53,22 +50,6 @@ impl TopK {
         }
     }
 
-    /// The current admission threshold: a result is useful only if its
-    /// cost is below this (or the collector is not yet full). Probing
-    /// loops use it to skip products early.
-    pub fn threshold(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |e| e.key.0.get())
-        }
-    }
-
-    /// Whether `k` results have been collected.
-    pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
-    }
-
     /// Whether an offer with this `(cost, product id)` key would be
     /// kept. Probe loops use this gate to build the (allocating)
     /// [`UpgradeResult`] only for admissible products; `offer` makes the
@@ -111,71 +92,6 @@ impl TopK {
     }
 }
 
-/// A lock-free cell holding the best (smallest) top-k admission
-/// threshold published so far across parallel probing workers — the
-/// global k-th-best upgrade cost, stored as `f64` bits in an atomic.
-///
-/// The cell is monotonically non-increasing: [`SharedThreshold::tighten`]
-/// is a CAS-min, so a stale read only ever *over*-estimates the
-/// threshold. That makes the strict `lower_bound > get()` prune sound at
-/// any interleaving: the cell's value is always at least the final
-/// global k-th-best cost (a threshold over a subset of the offers only
-/// shrinks as more arrive), so a pruned product's cost strictly exceeds
-/// the final threshold and could never have entered the top-k.
-///
-/// `Relaxed` ordering suffices: the cell carries a single monotone
-/// value, correctness never depends on ordering against other memory,
-/// and per-location coherence gives every reader some published value.
-#[derive(Debug)]
-pub struct SharedThreshold {
-    bits: AtomicU64,
-}
-
-impl SharedThreshold {
-    /// A fresh cell at `+∞` (nothing published: no pruning possible).
-    pub fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
-
-    /// The current published threshold.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Publishes `value` if it improves (lowers) the cell; returns
-    /// whether the cell changed. Non-finite or larger values are
-    /// ignored, so the cell never loosens.
-    pub fn tighten(&self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            if value >= f64::from_bits(cur) {
-                return false;
-            }
-            match self.bits.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-impl Default for SharedThreshold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,18 +115,6 @@ mod tests {
         let out = tk.into_sorted();
         let costs: Vec<f64> = out.iter().map(|r| r.cost).collect();
         assert_eq!(costs, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn threshold_tracks_worst_kept() {
-        let mut tk = TopK::new(2);
-        assert_eq!(tk.threshold(), f64::INFINITY);
-        tk.offer(result(0, 9.0));
-        assert_eq!(tk.threshold(), f64::INFINITY); // not full yet
-        tk.offer(result(1, 4.0));
-        assert_eq!(tk.threshold(), 9.0);
-        tk.offer(result(2, 1.0));
-        assert_eq!(tk.threshold(), 4.0);
     }
 
     #[test]
@@ -238,15 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn threshold_unchanged_by_rejected_ties() {
+    fn rejected_ties_leave_the_kept_set_unchanged() {
         let mut tk = TopK::new(2);
         tk.offer(result(1, 3.0));
         tk.offer(result(2, 5.0));
-        assert_eq!(tk.threshold(), 5.0);
         // Same cost, larger id than the worst kept: no change.
+        assert!(!tk.admits(5.0, 8));
         tk.offer(result(8, 5.0));
-        assert_eq!(tk.threshold(), 5.0);
-        assert!(tk.is_full());
         let ids: Vec<u32> = tk.into_sorted().iter().map(|r| r.product.0).collect();
         assert_eq!(ids, vec![1, 2]);
     }
@@ -290,35 +192,5 @@ mod tests {
             };
             assert_eq!(admitted, before != after, "offer ({id}, {c})");
         }
-    }
-
-    #[test]
-    fn shared_threshold_is_a_monotone_min_cell() {
-        let cell = SharedThreshold::new();
-        assert_eq!(cell.get(), f64::INFINITY);
-        assert!(cell.tighten(5.0));
-        assert_eq!(cell.get(), 5.0);
-        assert!(!cell.tighten(7.0), "loosening must be ignored");
-        assert!(!cell.tighten(5.0), "no-op publish reports no change");
-        assert!(!cell.tighten(f64::NAN));
-        assert_eq!(cell.get(), 5.0);
-        assert!(cell.tighten(2.5));
-        assert_eq!(cell.get(), 2.5);
-    }
-
-    #[test]
-    fn shared_threshold_concurrent_tighten_keeps_global_min() {
-        let cell = SharedThreshold::new();
-        std::thread::scope(|s| {
-            for w in 0..8u64 {
-                let cell = &cell;
-                s.spawn(move || {
-                    for i in 0..1000u64 {
-                        cell.tighten(((w * 1000 + i) % 997) as f64 + 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(cell.get(), 1.0);
     }
 }

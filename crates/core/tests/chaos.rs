@@ -15,12 +15,10 @@
 
 use skyup_core::cost::SumCost;
 use skyup_core::join::join_topk;
-use skyup_core::probing::improved_probing_topk_pruned;
 use skyup_core::{
-    basic_probing_topk, improved_probing_topk, improved_probing_topk_parallel,
-    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_parallel,
-    try_improved_probing_topk_pruned, try_join_topk, try_upgrade_single, upgrade_single,
-    AnytimeTopK, JoinUpgrader, SkyupError, UpgradeConfig, UpgradeResult,
+    basic_probing_topk, improved_probing_topk, probe_topk, try_basic_probing_topk,
+    try_improved_probing_topk, try_join_topk, try_upgrade_single, upgrade_single, AnytimeTopK,
+    CostFunction, JoinUpgrader, ProbeOptions, SkyupError, UpgradeConfig, UpgradeResult,
 };
 use skyup_core::{CancellationToken, Completion, ExecutionLimits, Interrupt};
 use skyup_data::synthetic::{paper_competitors, paper_products, Distribution};
@@ -42,6 +40,10 @@ fn setup(n_p: usize, n_t: usize, seed: u64) -> (PointStore, RTree, PointStore) {
 
 fn cost() -> SumCost {
     SumCost::reciprocal(DIMS, 1e-3)
+}
+
+fn opts(threads: usize, limits: ExecutionLimits) -> ProbeOptions {
+    ProbeOptions { threads, limits }
 }
 
 /// The unlimited run's exact upgrade for every product, by id.
@@ -128,24 +130,29 @@ fn budget_sweep_sequential_variants_degrade_to_exact_prefix_topk() {
             }
         }
 
-        let (pruned, stats) = try_improved_probing_topk_pruned(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost(),
-            &cfg,
-            &limits,
-            &mut NullRecorder,
-        )
-        .expect("budget exhaustion is a degradation, not an error");
-        assert_results_exact_and_sorted(&pruned, &full);
-        // Screened-out products are *processed* without being
-        // *evaluated*; the prefix is their sum.
-        let prefix = (stats.evaluated + stats.pruned) as usize;
-        assert_eq!(pruned.results, expected_prefix_topk(&full, prefix, k));
-        if !pruned.is_exact() {
-            saw_partial += 1;
+        // The executor charges one visit per product at admission, so
+        // a budget of `b` evaluates exactly the first `min(b, |T|)`.
+        for threads in [1usize, 3] {
+            let out = probe_topk(
+                &p,
+                &t,
+                k,
+                &cost(),
+                &cfg,
+                &opts(threads, limits.clone()),
+                &mut NullRecorder,
+            )
+            .expect("budget exhaustion is a degradation, not an error");
+            assert_results_exact_and_sorted(&out, &full);
+            assert_eq!(out.evaluated as u64, budget.min(t.len() as u64));
+            assert_eq!(out.results, expected_prefix_topk(&full, out.evaluated, k));
+            match out.completion {
+                Completion::Exact => assert_eq!(out.results, exact_improved),
+                Completion::Partial(i) => {
+                    assert_eq!(i, Interrupt::NodeVisitBudget);
+                    saw_partial += 1;
+                }
+            }
         }
     }
     // The sweep's small budgets must actually have exercised the
@@ -154,7 +161,7 @@ fn budget_sweep_sequential_variants_degrade_to_exact_prefix_topk() {
 }
 
 #[test]
-fn budget_sweep_parallel_results_stay_exact_per_product() {
+fn budget_sweep_parallel_results_stay_exact_prefix_topk() {
     let (p, rp, t) = setup(1000, 120, 0xbead);
     let k = 8;
     let cfg = UpgradeConfig::default();
@@ -162,27 +169,24 @@ fn budget_sweep_parallel_results_stay_exact_per_product() {
     let exact = improved_probing_topk(&p, &rp, &t, k, &cost(), &cfg);
 
     let mut saw_partial = false;
-    for budget in [1u64, 20, 200, 2000, 20_000, u64::MAX / 2] {
+    for budget in [1u64, 20, 119, 120, 2000, u64::MAX / 2] {
         for threads in [1usize, 3, 8] {
             let limits = ExecutionLimits::none().with_max_node_visits(budget);
-            let out = try_improved_probing_topk_parallel(
+            let out = probe_topk(
                 &p,
-                &rp,
                 &t,
                 k,
                 &cost(),
                 &cfg,
-                threads,
-                &limits,
+                &opts(threads, limits),
                 &mut NullRecorder,
             )
             .expect("budget exhaustion is a degradation, not an error");
-            // The merged answer is the exact top-k over the union of
-            // per-worker prefixes: every entry is an exact per-product
-            // upgrade and the list is sorted. With an exhausted budget
-            // of 1 it may be empty; it is never garbage.
+            // Whatever the thread count, the answer is the exact top-k
+            // over the admitted prefix of T.
             assert_results_exact_and_sorted(&out, &full);
-            assert!(out.results.len() <= k.min(out.evaluated));
+            assert_eq!(out.evaluated as u64, budget.min(t.len() as u64));
+            assert_eq!(out.results, expected_prefix_topk(&full, out.evaluated, k));
             if out.is_exact() {
                 assert_eq!(out.results, exact, "threads={threads} budget={budget}");
             } else {
@@ -251,44 +255,56 @@ fn join_partial_is_exact_prefix_of_unlimited_emission() {
     assert_eq!(out.results, unlimited[..out.results.len()]);
 }
 
-#[test]
-fn injected_worker_panic_is_contained_and_reported() {
-    let (p, rp, t) = setup(1500, 160, 0xdead);
-    let cfg = UpgradeConfig::default();
-    // Panic at the 25th global node visit: with 4 workers racing, some
-    // worker trips it early in the run.
-    let limits = ExecutionLimits::none().with_faults(FaultPlan::new().panic_at_visit(25));
-    let mut metrics = QueryMetrics::new();
-    let err = try_improved_probing_topk_parallel(
-        &p,
-        &rp,
-        &t,
-        10,
-        &cost(),
-        &cfg,
-        4,
-        &limits,
-        &mut metrics,
-    )
-    .expect_err("the injected panic must surface as an error");
-    match err {
-        SkyupError::WorkerPanicked {
-            worker,
-            ref message,
-        } => {
-            assert!(worker < 4, "worker index out of range: {worker}");
-            assert!(
-                message.contains("fault injection"),
-                "panic payload lost: {message}"
-            );
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+/// Reciprocal costs whose per-attribute step panics: the monotonicity
+/// sampler (whole-product costs only) passes, Algorithm 1 inside an
+/// executor worker blows up.
+struct PanickingUpgrade(SumCost);
+
+impl CostFunction for PanickingUpgrade {
+    fn dims(&self) -> usize {
+        self.0.dims()
     }
-    assert!(err.to_string().contains("panicked"));
-    assert_eq!(metrics.get(Counter::WorkerPanics), 1);
-    // Containment: the surviving workers' output was dropped, nothing
-    // was merged, and — crucially — the process is still alive to run
-    // this assertion.
+    fn attr_cost(&self, _dim: usize, _to: f64) -> f64 {
+        panic!("cost function bomb");
+    }
+    fn product_cost(&self, p: &[f64]) -> f64 {
+        self.0.product_cost(p)
+    }
+}
+
+#[test]
+fn worker_panic_is_contained_and_reported() {
+    let (p, _rp, t) = setup(1500, 160, 0xdead);
+    let cfg = UpgradeConfig::default();
+    let bomb = PanickingUpgrade(cost());
+    for threads in [1usize, 4] {
+        let mut metrics = QueryMetrics::new();
+        let err = probe_topk(
+            &p,
+            &t,
+            10,
+            &bomb,
+            &cfg,
+            &opts(threads, ExecutionLimits::none()),
+            &mut metrics,
+        )
+        .expect_err("the worker panic must surface as an error");
+        match err {
+            SkyupError::WorkerPanicked {
+                worker,
+                ref message,
+            } => {
+                assert!(worker < threads, "worker index out of range: {worker}");
+                assert!(message.contains("bomb"), "panic payload lost: {message}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        assert!(err.to_string().contains("panicked"));
+        assert_eq!(metrics.get(Counter::WorkerPanics), 1, "threads={threads}");
+        // Containment: the surviving workers' output was dropped, nothing
+        // was merged, and — crucially — the process is still alive to
+        // run this assertion.
+    }
 }
 
 #[test]
@@ -344,6 +360,25 @@ fn external_token_cancels_before_any_work() {
     assert_eq!(out.completion, Completion::Partial(Interrupt::Cancelled));
     assert!(out.results.is_empty());
     assert_eq!(out.evaluated, 0);
+
+    for threads in [1usize, 3] {
+        let mut metrics = QueryMetrics::new();
+        let out = probe_topk(
+            &p,
+            &t,
+            5,
+            &cost(),
+            &UpgradeConfig::default(),
+            &opts(threads, limits.clone()),
+            &mut metrics,
+        )
+        .unwrap();
+        assert_eq!(out.completion, Completion::Partial(Interrupt::Cancelled));
+        assert!(out.results.is_empty());
+        assert_eq!(out.evaluated, 0);
+        assert_eq!(metrics.get(Counter::ProductsEvaluated), 0);
+        assert_eq!(metrics.get(Counter::LimitInterrupts), 1);
+    }
 }
 
 #[test]
@@ -370,31 +405,21 @@ fn unlimited_try_twins_are_bit_identical_to_infallible() {
         improved_probing_topk(&p, &rp, &t, k, &cost(), &cfg)
     );
 
-    let (pruned, stats) =
-        try_improved_probing_topk_pruned(&p, &rp, &t, k, &cost(), &cfg, &none, &mut NullRecorder)
-            .unwrap();
-    let (pruned_plain, stats_plain) = improved_probing_topk_pruned(&p, &rp, &t, k, &cost(), &cfg);
-    assert!(pruned.is_exact());
-    assert_eq!(pruned.results, pruned_plain);
-    assert_eq!(stats, stats_plain);
-
-    let parallel = try_improved_probing_topk_parallel(
-        &p,
-        &rp,
-        &t,
-        k,
-        &cost(),
-        &cfg,
-        4,
-        &none,
-        &mut NullRecorder,
-    )
-    .unwrap();
-    assert!(parallel.is_exact());
-    assert_eq!(
-        parallel.results,
-        improved_probing_topk_parallel(&p, &rp, &t, k, &cost(), &cfg, 4)
-    );
+    for threads in [1usize, 4] {
+        let executor = probe_topk(
+            &p,
+            &t,
+            k,
+            &cost(),
+            &cfg,
+            &opts(threads, none.clone()),
+            &mut NullRecorder,
+        )
+        .unwrap();
+        assert!(executor.is_exact());
+        assert_eq!(executor.evaluated, t.len());
+        assert_eq!(executor.results, improved.results, "threads={threads}");
+    }
 
     let join = try_join_topk(
         &p,
@@ -463,15 +488,13 @@ fn invalid_inputs_are_structured_errors_not_panics() {
 
     // Zero worker threads.
     assert!(matches!(
-        try_improved_probing_topk_parallel(
+        probe_topk(
             &p,
-            &rp,
             &t,
             3,
             &cost(),
             &cfg,
-            0,
-            &none,
+            &opts(0, none.clone()),
             &mut NullRecorder
         ),
         Err(SkyupError::InvalidConfig(_))
@@ -562,18 +585,13 @@ fn tiny_deadline_never_panics_and_tags_partial() {
         try_basic_probing_topk(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder).unwrap();
     let i = try_improved_probing_topk(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder)
         .unwrap();
-    let (pr, _) =
-        try_improved_probing_topk_pruned(&p, &rp, &t, 5, &cost(), &cfg, &limits, &mut NullRecorder)
-            .unwrap();
-    let pa = try_improved_probing_topk_parallel(
+    let e = probe_topk(
         &p,
-        &rp,
         &t,
         5,
         &cost(),
         &cfg,
-        3,
-        &limits,
+        &opts(3, limits.clone()),
         &mut NullRecorder,
     )
     .unwrap();
@@ -590,7 +608,7 @@ fn tiny_deadline_never_panics_and_tags_partial() {
         &mut NullRecorder,
     )
     .unwrap();
-    for out in [&b, &i, &pr, &pa, &j] {
+    for out in [&b, &i, &e, &j] {
         assert_eq!(
             out.completion,
             Completion::Partial(Interrupt::DeadlineExceeded)

@@ -24,12 +24,8 @@ pub enum Counter {
     AdrCandidates,
     /// Skyline points retained across skyline computations.
     SkylinePointsRetained,
-    /// Lower-bound evaluations (`LBC` list bounds, NLB/CLB/ALB, and the
-    /// pruned-probing screen).
+    /// Lower-bound evaluations (`LBC` list bounds: NLB/CLB/ALB).
     LowerBoundEvals,
-    /// Products short-circuited by the top-k threshold before full
-    /// evaluation (pruned probing's screen hits).
-    ThresholdPrunes,
     /// Products fully evaluated (dominator skyline + Algorithm 1).
     ProductsEvaluated,
     /// Pushes onto a best-first priority queue (join heap).
@@ -53,14 +49,11 @@ pub enum Counter {
     /// Queries cut short by an execution limit (deadline, budget, or
     /// cancellation) — each partial completion bumps this once.
     LimitInterrupts,
-    /// Worker panics contained by the parallel prober's unwind barrier.
+    /// Worker panics contained by the probe executor's unwind barrier.
     WorkerPanics,
-    /// Probe tasks claimed dynamically from the shared work-stealing
-    /// counter (zero under static chunking).
+    /// Probe tasks claimed dynamically from the probe executor's shared
+    /// work-stealing counter.
     StealEvents,
-    /// Successful CAS improvements of the shared top-k threshold cell
-    /// published by parallel probing workers.
-    SharedThresholdUpdates,
     /// 64-point blocks scanned by the columnar dominance kernel.
     KernelBlockScans,
     /// 64-point blocks skipped wholesale by the kernel's per-block zone
@@ -152,14 +145,13 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (= array) order.
-    pub const ALL: [Counter; 46] = [
+    pub const ALL: [Counter; 44] = [
         Counter::DominanceTests,
         Counter::RtreeNodeAccesses,
         Counter::RtreeEntryAccesses,
         Counter::AdrCandidates,
         Counter::SkylinePointsRetained,
         Counter::LowerBoundEvals,
-        Counter::ThresholdPrunes,
         Counter::ProductsEvaluated,
         Counter::HeapPushes,
         Counter::HeapPops,
@@ -172,7 +164,6 @@ impl Counter {
         Counter::LimitInterrupts,
         Counter::WorkerPanics,
         Counter::StealEvents,
-        Counter::SharedThresholdUpdates,
         Counter::KernelBlockScans,
         Counter::KernelBlocksSkipped,
         Counter::CacheHit,
@@ -213,7 +204,6 @@ impl Counter {
             Counter::AdrCandidates => "adr_candidates",
             Counter::SkylinePointsRetained => "skyline_points_retained",
             Counter::LowerBoundEvals => "lower_bound_evals",
-            Counter::ThresholdPrunes => "threshold_prunes",
             Counter::ProductsEvaluated => "products_evaluated",
             Counter::HeapPushes => "heap_pushes",
             Counter::HeapPops => "heap_pops",
@@ -226,7 +216,6 @@ impl Counter {
             Counter::LimitInterrupts => "limit_interrupts",
             Counter::WorkerPanics => "worker_panics",
             Counter::StealEvents => "steal_events",
-            Counter::SharedThresholdUpdates => "shared_threshold_updates",
             Counter::KernelBlockScans => "kernel_block_scans",
             Counter::KernelBlocksSkipped => "kernel_blocks_skipped",
             Counter::CacheHit => "cache_hit",
@@ -269,8 +258,8 @@ impl Counter {
 pub enum Phase {
     /// R-tree construction (bulk load or insertion build).
     IndexBuild,
-    /// The per-product probing loop (basic, improved, parallel, or
-    /// pruned).
+    /// The per-product probing loop (basic, improved, or the batch
+    /// executor).
     ProbeLoop,
     /// `getDominatingSky` traversals (Algorithm 3) and the basic
     /// algorithm's range-query + skyline replacement for it.
@@ -280,9 +269,6 @@ pub enum Phase {
     JoinExpansion,
     /// Algorithm 1 exact upgrades (the per-product optimization step).
     Upgrade,
-    /// Probe-order preparation for the bound-sorted scheduler: screen
-    /// lower-bound evaluation over `T` plus the ascending sort.
-    BoundSort,
     /// Batch assembly in `skyup-serve`: draining the admission window,
     /// grouping same-epoch requests, and flattening products into the
     /// shared work list.
@@ -291,13 +277,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration (= array) order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 6] = [
         Phase::IndexBuild,
         Phase::ProbeLoop,
         Phase::DominatingSky,
         Phase::JoinExpansion,
         Phase::Upgrade,
-        Phase::BoundSort,
         Phase::BatchAssemble,
     ];
 
@@ -312,7 +297,6 @@ impl Phase {
             Phase::DominatingSky => "dominating_sky",
             Phase::JoinExpansion => "join_expansion",
             Phase::Upgrade => "upgrade",
-            Phase::BoundSort => "bound_sort",
             Phase::BatchAssemble => "batch_assemble",
         }
     }

@@ -4,14 +4,15 @@
 //! evaluated by [`crate::ExecGuard::visit_node`] against the *shared*
 //! visit count, so a fault scheduled at visit `N` fires exactly once
 //! per query, at a reproducible point of the traversal (sequentially
-//! deterministic; under parallel probing, at the Nth global visit in
-//! whatever interleaving occurs).
+//! deterministic; under concurrent clones of one guard, at the Nth
+//! global visit in whatever interleaving occurs).
 //!
 //! Three failure modes cover the interesting containment stories:
 //!
-//! * `panic_at_visit` — simulates a bug inside a traversal; the
-//!   parallel prober must contain it via `catch_unwind` and surface a
-//!   structured error instead of aborting the process.
+//! * `panic_at_visit` — simulates a bug inside a traversal; a caller
+//!   that runs traversals on worker threads must contain it via
+//!   `catch_unwind` and surface a structured error instead of aborting
+//!   the process.
 //! * `stall_at_visit` — simulates a slow disk/lock by sleeping inside
 //!   the traversal, burning the wall-clock deadline so the query comes
 //!   back `Partial(DeadlineExceeded)`.

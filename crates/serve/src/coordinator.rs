@@ -28,15 +28,15 @@
 //! state read-lock, publishes the write-lock), so no gathered answer
 //! ever mixes labels. Failure handling, by phase:
 //!
-//! * **Stage fails** (shard down, timeout): the publish aborts before
-//!   the commit point; nothing flipped, the coordinator's epoch is
-//!   unchanged, and the staged epoch left on other shards is
+//! * **Stage fails** (shard down, reply timeout): the publish aborts
+//!   before the commit point; nothing flipped, the coordinator's epoch
+//!   is unchanged, and the staged epoch left on other shards is
 //!   overwritten by the next publish of the same epoch.
-//! * **Flip fails / flip-ack lost** (after all stages acked): the
-//!   mutation is committed — flips are idempotent and retried here,
-//!   and a shard that still missed its flip is repaired on the next
-//!   query (the gather sees its stale label and re-issues the flip
-//!   before answering).
+//! * **Flip fails / flip-ack lost / reply timeout** (after all stages
+//!   acked): the mutation is committed — flips are idempotent and
+//!   retried here, and a shard that still missed its flip is repaired
+//!   on the next query (the gather sees its stale label and re-issues
+//!   the flip before answering).
 //! * **Shard unreachable at query time**: the gather degrades to
 //!   `Completion::Partial(Interrupt::Overloaded)` with zero evaluated
 //!   products — never a wrong exact answer.
@@ -74,6 +74,15 @@ const FLIP_ATTEMPTS: u32 = 3;
 /// on a Nagle socket, so the newline can wait for the coordinator's
 /// delayed ACK, up to 200 ms on Linux.
 const MIN_PROBE_REPLY_GRACE: Duration = Duration::from_millis(250);
+
+/// How long a [`TcpLink`] stage or flip waits for its reply. Publishes
+/// run under the state write lock, so without a bound one wedged shard
+/// would hang the mutation and every query queued behind it. A stage
+/// that times out aborts the publish before the commit point; a flip
+/// that times out is retried and then left to repair-on-read. Sized at
+/// more than 10x the largest stage or flip round trip of a
+/// `sharded_mixed` benchmark run, so a healthy shard never trips it.
+const PUBLISH_REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A coordinator's channel to one shard. Implemented over TCP
 /// ([`TcpLink`]) for real topologies and in-process ([`LocalLink`]) for
@@ -133,42 +142,50 @@ impl TcpLink {
             pool: ClientPool::new(addr),
         }
     }
-}
 
-impl ShardLink for TcpLink {
-    fn stage(&self, epoch: u64, op: Option<&StagedOp>) -> Result<u64, String> {
-        let line = render_stage_request(epoch, op);
-        self.pool.with(|c| {
-            let resp = c.request(&line)?;
-            parse_stage_ack(&resp)
-        })
-    }
-
-    fn flip(&self, epoch: u64) -> Result<FlipAck, String> {
-        let line = render_flip_request(epoch);
-        self.pool.with(|c| {
-            let resp = c.request(&line)?;
-            parse_flip_ack(&resp)
-        })
-    }
-
-    /// A probe with a deadline bounds its wait for the reply, so a
-    /// wedged shard degrades the gather instead of hanging it. The
-    /// timeout is cleared after the exchange, so pooled clients never
-    /// carry one; a timed-out client is dropped by the pool.
-    fn probe(&self, req: &ProbeRequest) -> Result<ProbeResponse, String> {
-        let line = render_probe_request(req);
-        let timeout = req.deadline.map(|d| d + d.max(MIN_PROBE_REPLY_GRACE));
+    /// One request/reply exchange whose reply wait is bounded by
+    /// `timeout`, with the reply parsed before the client goes back to
+    /// the pool. The timeout is cleared after the exchange, so pooled
+    /// clients never carry one; a client that timed out or returned an
+    /// unparsable reply is dropped by the pool.
+    fn exchange<T>(
+        &self,
+        line: &str,
+        timeout: Option<Duration>,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
         self.pool.with(|c| {
             if timeout.is_some() {
                 c.set_read_timeout(timeout)?;
             }
-            let resp = c.request(&line)?;
+            let resp = c.request(line)?;
             if timeout.is_some() {
                 c.set_read_timeout(None)?;
             }
-            parse_probe_response(&resp)
+            parse(&resp)
         })
+    }
+}
+
+impl ShardLink for TcpLink {
+    /// Bounded by `PUBLISH_REPLY_TIMEOUT`.
+    fn stage(&self, epoch: u64, op: Option<&StagedOp>) -> Result<u64, String> {
+        let line = render_stage_request(epoch, op);
+        self.exchange(&line, Some(PUBLISH_REPLY_TIMEOUT), parse_stage_ack)
+    }
+
+    /// Bounded by `PUBLISH_REPLY_TIMEOUT`.
+    fn flip(&self, epoch: u64) -> Result<FlipAck, String> {
+        let line = render_flip_request(epoch);
+        self.exchange(&line, Some(PUBLISH_REPLY_TIMEOUT), parse_flip_ack)
+    }
+
+    /// A probe with a deadline bounds its wait for the reply, so a
+    /// wedged shard degrades the gather instead of hanging it.
+    fn probe(&self, req: &ProbeRequest) -> Result<ProbeResponse, String> {
+        let line = render_probe_request(req);
+        let timeout = req.deadline.map(|d| d + d.max(MIN_PROBE_REPLY_GRACE));
+        self.exchange(&line, timeout, parse_probe_response)
     }
 
     fn reachable(&self) -> bool {
@@ -753,19 +770,29 @@ mod tests {
     /// request line with `reply`, or never answers when `reply` is
     /// `None` (a wedged shard that still accepts connections).
     fn scripted_shard(reply: Option<&'static str>) -> String {
+        scripted_shard_with(move |_| reply)
+    }
+
+    /// [`scripted_shard`] with the reply chosen per request line; a
+    /// `None` reply leaves that request unanswered forever (the
+    /// connection stays open but goes silent).
+    fn scripted_shard_with(
+        reply: impl Fn(&str) -> Option<&'static str> + Copy + Send + 'static,
+    ) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            let mut wedged = Vec::new();
             for stream in listener.incoming().flatten() {
-                let Some(reply) = reply else {
-                    wedged.push(stream);
-                    continue;
-                };
                 std::thread::spawn(move || {
                     let mut writer = stream.try_clone().unwrap();
-                    for line in BufReader::new(stream).lines() {
-                        if line.is_err() || writeln!(writer, "{reply}").is_err() {
+                    let mut lines = BufReader::new(stream).lines();
+                    while let Some(Ok(line)) = lines.next() {
+                        let Some(reply) = reply(&line) else {
+                            // Wedged: hold the connection, never answer.
+                            for _ in lines.by_ref() {}
+                            return;
+                        };
+                        if writeln!(writer, "{reply}").is_err() {
                             return;
                         }
                     }
@@ -828,6 +855,39 @@ mod tests {
             assert_eq!(resp.evaluated, 1, "round {round}");
             assert_eq!(resp.results.len(), 1, "round {round}");
         }
+    }
+
+    #[test]
+    fn a_wedged_stage_fails_the_mutation_and_queries_keep_answering() {
+        let mut seed = PointStore::new(2);
+        seed.push(&[0.2, 0.4]);
+        // Answers probes; swallows every stage without a reply.
+        let addr = scripted_shard_with(|line| {
+            (!line.contains(r#""op":"stage""#)).then_some(
+                r#"{"ok": true, "epoch": 0, "completion": "exact", "evaluated": 1, "dominators": [[[0, [0.2, 0.4]]]]}"#,
+            )
+        });
+        let coord = Arc::new(
+            Coordinator::new(vec![TcpLink::new(&addr)], Partition::new(1).unwrap(), &seed).unwrap(),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mutator = Arc::clone(&coord);
+        let started = Instant::now();
+        std::thread::spawn(move || {
+            let _ = tx.send(mutator.mutate(Mutation::AddCompetitor(vec![0.1, 0.1])));
+        });
+        let outcome = rx
+            .recv_timeout(PUBLISH_REPLY_TIMEOUT * 2)
+            .expect("a wedged stage must not hold the publish past twice its bound");
+        assert!(outcome.is_err(), "a stage timeout aborts the mutation");
+        assert!(started.elapsed() >= PUBLISH_REPLY_TIMEOUT);
+        // The write lock is free again and the epoch is unchanged, so a
+        // query is answered exactly from the shard's epoch-0 reply.
+        let resp = coord
+            .query(&one_product_query(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(resp.completion, Completion::Exact);
+        assert_eq!(resp.results.len(), 1);
     }
 
     #[test]

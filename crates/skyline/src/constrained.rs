@@ -168,8 +168,8 @@ pub fn dominating_skyline_from_lim<R: Recorder + ?Sized>(
     Ok(std::mem::take(&mut scratch.skyline))
 }
 
-/// Root-seeded [`dominating_skyline_from_into`]: the workhorse of the
-/// probe scheduler's per-worker loop. The dominator skyline is left in
+/// Root-seeded [`dominating_skyline_from_into`], for loops that probe
+/// many products with one scratch. The dominator skyline is left in
 /// `scratch` ([`SkylineScratch::skyline`]); all traversal state reuses
 /// the scratch's buffers, so a warm scratch makes the call
 /// allocation-free.

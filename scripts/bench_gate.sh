@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perf-regression gate: regenerates the serving, probe-scheduler, and
+# Perf-regression gate: regenerates the serving, probe-executor, and
 # dominance-kernel bench reports at the committed scale and compares
 # them against the checked-in baselines with `bench_gate`.
 #
@@ -11,7 +11,8 @@
 # Invariant failures (bit-identity, cache counts, speedup floor, the
 # telemetry accounting on the serve report's latency rows: trace count
 # == requests served, per-class histogram bucket conservation, exact
-# per-class trace counts) are deterministic and will fail every
+# per-class trace counts; the probe executor's products_evaluated ==
+# |T| and kernel block law on both probing workloads) are deterministic and will fail every
 # attempt; only wall-clock noise on shared hardware benefits from the
 # retries, which re-run the benches from scratch each time.
 set -euo pipefail

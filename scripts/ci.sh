@@ -152,7 +152,7 @@ step "kernel bench smoke (tiny scale, self-asserting)" \
     timeout "${SKYUP_CI_KERNEL_TIMEOUT:-120}" \
     cargo run --offline --release -q -p skyup-bench --bin kernel_bench
 
-# Regenerates the serving, probe-scheduler, and dominance-kernel
+# Regenerates the serving, probe-executor, and dominance-kernel
 # reports at the committed scale and gates wall-clock (one-sided, 25%
 # tolerance) plus the exact
 # machine-independent invariants: bit-identity, cache/batch counters,

@@ -8,9 +8,8 @@
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
 use skyup_core::join::{BoundMode, LowerBound};
 use skyup_core::{
-    basic_probing_topk_rec, improved_probing_topk_rec, improved_probing_topk_scheduled_rec,
-    try_basic_probing_topk, try_improved_probing_topk, try_improved_probing_topk_scheduled,
-    Completion, ExecutionLimits, JoinUpgrader, ProbeStrategy, UpgradeConfig, UpgradeResult,
+    basic_probing_topk_rec, probe_topk, try_basic_probing_topk, Completion, ExecutionLimits,
+    JoinUpgrader, ProbeOptions, UpgradeConfig, UpgradeResult,
 };
 use skyup_data::{negate_dimensions, normalize_unit, read_delimited};
 use skyup_geom::PointStore;
@@ -67,11 +66,11 @@ pub struct Config {
     /// (exit code 2 from the binary).
     pub timeout_ms: Option<u64>,
     /// R-tree node-visit budget for the query phase; same degradation.
+    /// The probe executor charges one visit per product.
     pub max_node_visits: Option<u64>,
-    /// Worker threads for `--algorithm probing`. With 1 (the default)
-    /// the historical sequential path runs, bit-for-bit; with more, the
-    /// bound-sorted work-stealing scheduler takes over (same results,
-    /// pruned and parallel).
+    /// Worker threads of the probe executor for `--algorithm probing`
+    /// (capped at the host's available parallelism). Results are
+    /// identical at every width.
     pub threads: usize,
 }
 
@@ -135,10 +134,11 @@ options:
                          best-so-far partial answer is printed and the
                          binary exits with code 2
   --max-node-visits <n>  R-tree node-visit budget; same degradation
-  --threads <n>          worker threads for --algorithm probing
-                         (default 1 = the sequential path; more runs the
-                         bound-sorted work-stealing scheduler, which
-                         returns identical results)
+                         (for --algorithm probing it counts products:
+                         one visit per product evaluated)
+  --threads <n>          width of the probe executor for --algorithm
+                         probing (default 1; identical results at any
+                         width)
 
 exit codes: 0 = exact answer, 2 = partial answer (a limit fired),
 1 = error (bad arguments, unreadable input, invalid data)
@@ -453,66 +453,46 @@ pub fn run_with_metrics(
         None => &mut null,
     };
 
-    let rp = timed(rec, Phase::IndexBuild, |_| {
-        RTree::bulk_load(&p, RTreeParams::default())
-    });
+    // Basic probing and the join search an R-tree over P; the probe
+    // executor needs only P's skyline.
+    let index_p = |rec: &mut dyn Recorder| {
+        timed(rec, Phase::IndexBuild, |_| {
+            RTree::bulk_load(&p, RTreeParams::default())
+        })
+    };
 
     let limits = cfg.limits();
     let guarded = !limits.is_unlimited();
     let mut completion = Completion::Exact;
-    // Without limits the historical infallible entry points run — their
-    // output (and permissiveness, e.g. toward an empty P) is preserved
-    // bit for bit. With limits the fallible guarded twins run instead.
+    // Basic probing and the join run their historical infallible entry
+    // points without limits — output (and permissiveness, e.g. toward
+    // an empty P) preserved bit for bit — and their fallible guarded
+    // twins with limits. Probing always runs the probe executor.
     let results: Vec<UpgradeResult> = match cfg.algorithm {
         Algorithm::Basic if guarded => {
+            let rp = index_p(rec);
             let out =
                 try_basic_probing_topk(&p, &rp, &t, cfg.k, &cost_fn, &upgrade_cfg, &limits, rec)
                     .map_err(|e| e.to_string())?;
             completion = out.completion;
             out.results
         }
-        Algorithm::Basic => basic_probing_topk_rec(&p, &rp, &t, cfg.k, &cost_fn, &upgrade_cfg, rec),
-        Algorithm::Probing if guarded => {
-            let out = if cfg.threads > 1 {
-                let (any, _stats) = try_improved_probing_topk_scheduled(
-                    &p,
-                    &rp,
-                    &t,
-                    cfg.k,
-                    &cost_fn,
-                    &upgrade_cfg,
-                    cfg.threads,
-                    ProbeStrategy::BoundSorted,
-                    &limits,
-                    rec,
-                )
-                .map_err(|e| e.to_string())?;
-                any
-            } else {
-                try_improved_probing_topk(&p, &rp, &t, cfg.k, &cost_fn, &upgrade_cfg, &limits, rec)
-                    .map_err(|e| e.to_string())?
+        Algorithm::Basic => {
+            let rp = index_p(rec);
+            basic_probing_topk_rec(&p, &rp, &t, cfg.k, &cost_fn, &upgrade_cfg, rec)
+        }
+        Algorithm::Probing => {
+            let opts = ProbeOptions {
+                threads: cfg.threads,
+                limits,
             };
+            let out = probe_topk(&p, &t, cfg.k, &cost_fn, &upgrade_cfg, &opts, rec)
+                .map_err(|e| e.to_string())?;
             completion = out.completion;
             out.results
         }
-        Algorithm::Probing if cfg.threads > 1 => {
-            improved_probing_topk_scheduled_rec(
-                &p,
-                &rp,
-                &t,
-                cfg.k,
-                &cost_fn,
-                &upgrade_cfg,
-                cfg.threads,
-                ProbeStrategy::BoundSorted,
-                rec,
-            )
-            .0
-        }
-        Algorithm::Probing => {
-            improved_probing_topk_rec(&p, &rp, &t, cfg.k, &cost_fn, &upgrade_cfg, rec)
-        }
         Algorithm::Join => {
+            let rp = index_p(rec);
             let rt = timed(rec, Phase::IndexBuild, |_| {
                 RTree::bulk_load(&t, RTreeParams::default())
             });
@@ -809,7 +789,14 @@ mod tests {
                     .unwrap()
                     .0;
             assert!(text.contains("phase"), "{algo}: {text}");
-            assert!(text.contains("index_build"), "{algo}: {text}");
+            // The probe executor builds no R-tree; its one-off structure
+            // is P's skyline, timed as `dominating_sky`.
+            let setup_phase = if algo == "probing" {
+                "dominating_sky"
+            } else {
+                "index_build"
+            };
+            assert!(text.contains(setup_phase), "{algo}: {text}");
             assert!(text.contains("results_emitted"), "{algo}: {text}");
 
             // JSON report: everything from the first `{` line on parses

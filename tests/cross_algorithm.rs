@@ -5,11 +5,9 @@
 
 use skyup::core::cost::{AttributeCost, LinearCost, SumCost};
 use skyup::core::join::{BoundMode, JoinUpgrader, LowerBound};
-use skyup::core::probing::improved_probing_topk_pruned_rec;
 use skyup::core::{
-    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk,
-    improved_probing_topk_parallel_rec, improved_probing_topk_rec,
-    improved_probing_topk_scheduled_rec, single_set_topk, ProbeStrategy, UpgradeConfig,
+    basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
+    probe_topk, single_set_topk, ProbeOptions, UpgradeConfig,
 };
 use skyup::data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup::geom::PointStore;
@@ -131,17 +129,17 @@ fn counter_consistency_across_algorithms() {
     let basic = basic_probing_topk_rec(&p, &rp, &t, k, &cost_fn, &cfg, &mut mb);
     let mut mi = QueryMetrics::new();
     let improved = improved_probing_topk_rec(&p, &rp, &t, k, &cost_fn, &cfg, &mut mi);
-    let mut mp = QueryMetrics::new();
-    let parallel = improved_probing_topk_parallel_rec(&p, &rp, &t, k, &cost_fn, &cfg, 4, &mut mp);
-    let mut mq = QueryMetrics::new();
-    let (pruned, _) = improved_probing_topk_pruned_rec(&p, &rp, &t, k, &cost_fn, &cfg, &mut mq);
+    let mut me = QueryMetrics::new();
+    let opts = ProbeOptions {
+        threads: 4,
+        ..ProbeOptions::default()
+    };
+    let executor = probe_topk(&p, &t, k, &cost_fn, &cfg, &opts, &mut me)
+        .unwrap()
+        .results;
 
-    // All four algorithms produce the identical top-k plan.
-    for (label, other) in [
-        ("improved", &improved),
-        ("parallel", &parallel),
-        ("pruned", &pruned),
-    ] {
+    // All three algorithms produce the identical top-k plan.
+    for (label, other) in [("improved", &improved), ("executor", &executor)] {
         assert_eq!(basic.len(), other.len(), "{label}");
         for (a, b) in basic.iter().zip(other.iter()) {
             assert_eq!(a.product, b.product, "{label}");
@@ -163,42 +161,29 @@ fn counter_consistency_across_algorithms() {
     // point-level tests even while touching far fewer R-tree entries.)
 
     // Workload-shape counters agree everywhere they are comparable.
-    for m in [&mb, &mi, &mp] {
+    for m in [&mb, &mi, &me] {
         assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
         assert_eq!(m.get(Counter::ResultsEmitted), k as u64);
-    }
-    // The same per-product work happens under the parallel split: its
-    // counters are deterministic and equal the sequential improved run.
-    for c in [
-        Counter::DominanceTests,
-        Counter::RtreeNodeAccesses,
-        Counter::RtreeEntryAccesses,
-        Counter::SkylinePointsRetained,
-        Counter::HeapPushes,
-        Counter::HeapPops,
-    ] {
-        assert_eq!(mp.get(c), mi.get(c), "parallel vs improved {}", c.name());
     }
     // Both skyline strategies retain the same dominator skylines.
     assert_eq!(
         mb.get(Counter::SkylinePointsRetained),
         mi.get(Counter::SkylinePointsRetained)
     );
-    // The screen only ever skips products, never evaluates more.
-    assert!(mq.get(Counter::ProductsEvaluated) <= t.len() as u64);
-    assert_eq!(
-        mq.get(Counter::ProductsEvaluated) + mq.get(Counter::ThresholdPrunes),
-        t.len() as u64
-    );
+    // The executor never touches an R-tree.
+    assert_eq!(me.get(Counter::RtreeNodeAccesses), 0);
 }
 
-/// The probe scheduler's counter contract: work stealing merges to
-/// fully deterministic metrics at every thread count (each product is
-/// claimed and evaluated exactly once), and the bound-sorted pruning
-/// path keeps the exact accounting `ProductsEvaluated + ThresholdPrunes
-/// == |T|` while returning the bit-identical sequential answer.
+/// The probe executor's counter contract for a top-k query: at every
+/// thread count each product is claimed and evaluated exactly once,
+/// the merged counters are identical, the kernel's block accounting is
+/// exact, and the answer is bit-identical to sequential improved
+/// probing.
 #[test]
-fn scheduled_probing_counter_contract() {
+fn probe_topk_counter_contract() {
+    use skyup::geom::DOM_BLOCK;
+    use skyup::skyline::skyline_sfs_rec;
+
     let p = generate(
         800,
         &SyntheticConfig::unit(3, Distribution::Independent, 41),
@@ -214,8 +199,6 @@ fn scheduled_probing_counter_contract() {
         },
     );
     let rp = RTree::bulk_load(&p, RTreeParams::with_max_entries(16));
-    // Linear costs keep the admissible list bounds informative, so the
-    // shared-threshold screen actually fires on this interleaved layout.
     let cost_fn = SumCost::new(
         (0..3)
             .map(|_| Box::new(LinearCost::new(2.0, 1.0)) as Box<dyn AttributeCost>)
@@ -224,72 +207,41 @@ fn scheduled_probing_counter_contract() {
     let cfg = UpgradeConfig::default();
     let k = 8;
     let seq = improved_probing_topk(&p, &rp, &t, k, &cost_fn, &cfg);
+    // The executor's skyline pass runs the kernel too; its blocks are
+    // deterministic, so measure them apart and subtract them below.
+    let ids: Vec<_> = p.ids().collect();
+    let mut ms = QueryMetrics::new();
+    let sky_blocks = skyline_sfs_rec(&p, &ids, &mut ms).len().div_ceil(DOM_BLOCK) as u64;
+    let sfs_blocks = ms.get(Counter::KernelBlockScans) + ms.get(Counter::KernelBlocksSkipped);
 
-    let assert_bit_identical = |out: &[skyup::core::UpgradeResult], label: &str| {
-        assert_eq!(seq.len(), out.len(), "{label}");
-        for (a, b) in seq.iter().zip(out) {
-            assert_eq!(a.product, b.product, "{label}");
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{label}");
-            assert_eq!(a.upgraded, b.upgraded, "{label}");
-        }
-    };
-
-    // Work stealing: same counters no matter how the claims interleave.
     let mut baseline: Option<Vec<u64>> = None;
     for threads in [1, 2, 4, 8] {
         let mut m = QueryMetrics::new();
-        let (out, stats) = improved_probing_topk_scheduled_rec(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost_fn,
-            &cfg,
+        let opts = ProbeOptions {
             threads,
-            ProbeStrategy::WorkStealing,
-            &mut m,
-        );
-        assert_bit_identical(&out, &format!("stealing threads={threads}"));
+            ..ProbeOptions::default()
+        };
+        let out = probe_topk(&p, &t, k, &cost_fn, &cfg, &opts, &mut m).unwrap();
+        assert!(out.completion.is_exact());
+        assert_eq!(seq.len(), out.results.len(), "threads={threads}");
+        for (a, b) in seq.iter().zip(&out.results) {
+            assert_eq!(a.product, b.product, "threads={threads}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "threads={threads}");
+            assert_eq!(a.upgraded, b.upgraded, "threads={threads}");
+        }
+        assert_eq!(out.evaluated, t.len());
         assert_eq!(m.get(Counter::StealEvents), t.len() as u64);
         assert_eq!(m.get(Counter::ProductsEvaluated), t.len() as u64);
-        assert_eq!(stats.pruned, 0);
+        let full_scans = t.len() as u64 - m.get(Counter::DominatorMemoHits);
+        assert_eq!(
+            m.get(Counter::KernelBlockScans) + m.get(Counter::KernelBlocksSkipped),
+            sfs_blocks + full_scans * sky_blocks,
+            "threads={threads}: kernel blocks lost or double-counted"
+        );
         let snap: Vec<u64> = Counter::ALL.iter().map(|&c| m.get(c)).collect();
         match &baseline {
             None => baseline = Some(snap),
-            Some(b) => assert_eq!(b, &snap, "stealing counters differ at threads={threads}"),
-        }
-    }
-
-    // Bound-sorted pruning: exact results plus exact accounting. Which
-    // products get pruned is timing-dependent, but every product is
-    // either evaluated or pruned — never both, never neither.
-    for threads in [1, 2, 4, 8] {
-        let mut m = QueryMetrics::new();
-        let (out, stats) = improved_probing_topk_scheduled_rec(
-            &p,
-            &rp,
-            &t,
-            k,
-            &cost_fn,
-            &cfg,
-            threads,
-            ProbeStrategy::BoundSorted,
-            &mut m,
-        );
-        assert_bit_identical(&out, &format!("bound-sorted threads={threads}"));
-        assert_eq!(
-            m.get(Counter::ProductsEvaluated) + m.get(Counter::ThresholdPrunes),
-            t.len() as u64,
-            "threads={threads}"
-        );
-        assert_eq!(m.get(Counter::ProductsEvaluated), stats.evaluated);
-        assert_eq!(m.get(Counter::ThresholdPrunes), stats.pruned);
-        assert_eq!(m.get(Counter::LowerBoundEvals), t.len() as u64);
-        if threads == 1 {
-            assert!(
-                stats.pruned > 0,
-                "the screen must fire on the interleaved workload: {stats:?}"
-            );
+            Some(b) => assert_eq!(b, &snap, "counters differ at threads={threads}"),
         }
     }
 }

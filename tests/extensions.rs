@@ -1,13 +1,12 @@
 //! Integration tests for the library extensions: floors, discrete
-//! domains, skybands, pruned and parallel probing, the single-set
+//! domains, skybands, the probe executor's top-k entry, the single-set
 //! variant, and the optimal-upgrade oracle — exercised through the
 //! facade crate the way a downstream user would.
 
 use skyup::core::cost::SumCost;
-use skyup::core::probing::improved_probing_topk_pruned;
 use skyup::core::{
-    improved_probing_topk, improved_probing_topk_parallel, optimal_upgrade, single_set_topk,
-    upgrade_single, upgrade_single_discrete, upgrade_single_with_floors, DiscreteDomains,
+    improved_probing_topk, optimal_upgrade, probe_topk, single_set_topk, upgrade_single,
+    upgrade_single_discrete, upgrade_single_with_floors, DiscreteDomains, ProbeOptions,
     UpgradeConfig,
 };
 use skyup::data::synthetic::{
@@ -15,6 +14,7 @@ use skyup::data::synthetic::{
 };
 use skyup::geom::dominance::dominates;
 use skyup::geom::{PointId, PointStore};
+use skyup::obs::{Counter, QueryMetrics};
 use skyup::rtree::{RTree, RTreeParams};
 use skyup::skyline::{dominating_skyline, dominator_count, skyband, skyline_sfs};
 
@@ -152,7 +152,7 @@ fn discrete_grid_results_live_on_the_grid_and_cost_more() {
 }
 
 #[test]
-fn parallel_and_pruned_probing_match_baseline() {
+fn probe_topk_matches_baseline() {
     let p = paper_competitors(3000, 3, Distribution::Independent, 51);
     let t = paper_products(400, 3, Distribution::Independent, 52);
     let rp = RTree::bulk_load(&p, RTreeParams::default());
@@ -160,18 +160,24 @@ fn parallel_and_pruned_probing_match_baseline() {
     let cfg = UpgradeConfig::default();
 
     let baseline = improved_probing_topk(&p, &rp, &t, 7, &cost, &cfg);
-    let parallel = improved_probing_topk_parallel(&p, &rp, &t, 7, &cost, &cfg, 4);
-    let (pruned, stats) = improved_probing_topk_pruned(&p, &rp, &t, 7, &cost, &cfg);
-
-    for (a, b) in baseline.iter().zip(&parallel) {
-        assert_eq!(a.product, b.product);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+    for threads in [1, 4] {
+        let mut m = QueryMetrics::new();
+        let opts = ProbeOptions {
+            threads,
+            ..ProbeOptions::default()
+        };
+        let out = probe_topk(&p, &t, 7, &cost, &cfg, &opts, &mut m).unwrap();
+        assert!(out.completion.is_exact());
+        assert_eq!(out.results.len(), baseline.len());
+        for (a, b) in baseline.iter().zip(&out.results) {
+            assert_eq!(a.product, b.product, "threads={threads}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(a.upgraded, b.upgraded);
+        }
+        // The executor evaluates every product: nothing is pruned.
+        assert_eq!(out.evaluated, 400);
+        assert_eq!(m.get(Counter::ProductsEvaluated), 400);
     }
-    for (a, b) in baseline.iter().zip(&pruned) {
-        assert_eq!(a.product, b.product);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-    }
-    assert_eq!(stats.evaluated + stats.pruned, 400);
 }
 
 #[test]
