@@ -33,10 +33,6 @@ use std::process::ExitCode;
 
 /// Fresh wall-clock may lag baseline by at most this factor.
 const WALL_TOLERANCE: f64 = 1.25;
-/// The acceptance floor for the batched serving path (cold, 4 client
-/// threads) — mirrors the committed claim, with the measured ~2x
-/// leaving real margin.
-const MIN_BATCHED_SPEEDUP_COLD: f64 = 1.5;
 
 struct Gate {
     failures: Vec<String>,
@@ -159,10 +155,9 @@ fn rows<'a>(doc: &'a Json, key: &str) -> Option<&'a [Json]> {
 
 /// Class keys the serve telemetry snapshot must carry, mirroring
 /// `skyup_obs::TraceClass::ALL`.
-const TRACE_CLASSES: [&str; 6] = [
+const TRACE_CLASSES: [&str; 5] = [
     "query_cached",
     "query_cold",
-    "query_batched",
     "query_shed",
     "mutation",
     "stats",
@@ -341,19 +336,10 @@ fn gate_serve_durability(gate: &mut Gate, fresh: &Json, baseline: &Json) {
 fn gate_serve(gate: &mut Gate, fresh: &Json, baseline: &Json) {
     gate.workload(fresh, baseline);
     gate.check(is_true(fresh, "all_modes_bit_identical"), || {
-        "all_modes_bit_identical is not true: batched or warm answers \
-         diverged from the per-request cold computation"
+        "all_modes_bit_identical is not true: a configuration's or a warm \
+         pass's answers diverged from the reference cold pass"
             .into()
     });
-    match num(fresh, "batched_speedup_cold_at_4") {
-        Some(s) => gate.check(s >= MIN_BATCHED_SPEEDUP_COLD, || {
-            format!(
-                "batched_speedup_cold_at_4 = {s:.2} below the \
-                 {MIN_BATCHED_SPEEDUP_COLD} acceptance floor"
-            )
-        }),
-        None => gate.fail("batched_speedup_cold_at_4 missing".into()),
-    }
 
     let (Some(fresh_rows), Some(base_rows)) = (rows(fresh, "runs"), rows(baseline, "runs")) else {
         gate.fail("runs array missing".into());
@@ -384,23 +370,20 @@ fn gate_serve(gate: &mut Gate, fresh: &Json, baseline: &Json) {
         for field in ["requests", "cache_hit", "cache_miss", "batched_requests"] {
             gate.exact(&what, field, frow, brow);
         }
-        // Batch count is timing-dependent (how the admission window
-        // slices the stream), so only its structure is checked.
+        // Batch count is timing-dependent (how the workers slice the
+        // stream), so only its structure is checked: every request rides
+        // a batch, so at least one forms and none is larger than the
+        // requests it answered.
         let batches = num(frow, "batches_executed").unwrap_or(-1.0);
-        if mode == "per_request" {
-            gate.check(batches == 0.0, || {
-                format!("{what}: per-request mode executed {batches} batches")
+        let requests = num(frow, "batched_requests").unwrap_or(0.0);
+        gate.check(batches >= 1.0 && batches <= requests, || {
+            format!("{what}: {batches} batches for {requests} batched requests")
+        });
+        if mode == "window_100" && phase == "cold" {
+            let memo = num(frow, "dominator_memo_hits").unwrap_or(0.0);
+            gate.check(memo >= 1.0, || {
+                format!("{what}: the cross-request dominator memo never hit")
             });
-        } else {
-            gate.check(batches >= 1.0, || {
-                format!("{what}: batched mode never formed a batch")
-            });
-            if phase == "cold" {
-                let memo = num(frow, "dominator_memo_hits").unwrap_or(0.0);
-                gate.check(memo >= 1.0, || {
-                    format!("{what}: the cross-request dominator memo never hit")
-                });
-            }
         }
         gate.rate(&what, "qps", frow, brow);
     }

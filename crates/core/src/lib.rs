@@ -75,7 +75,7 @@ pub use optimal::optimal_upgrade;
 pub use probing::{
     basic_probing_topk, basic_probing_topk_rec, improved_probing_topk, improved_probing_topk_rec,
     probe_topk, run_probe_batch, try_basic_probing_topk, try_improved_probing_topk, BatchItem,
-    BatchOutput, ItemAnswer, ProbeOptions,
+    BatchOutput, ItemAnswer, ProbeOptions, SkylineView,
 };
 pub use result::{AnytimeTopK, UpgradeResult};
 pub use single_set::single_set_topk;

@@ -5,11 +5,13 @@
 //! with the union of many requests' products, all to be answered
 //! against the *same* snapshot. This module evaluates that union once:
 //!
-//! * **One shared skyline, one shared columnar view** — the snapshot's
-//!   live-set skyline is gathered into a [`ColumnarPoints`] buffer once
-//!   per batch, and every worker scans it with the blockwise dominator
-//!   kernel ([`skyup_geom::collect_dominators_cols`]) instead of a
-//!   scalar filter per product.
+//! * **One shared skyline view** — a [`SkylineView`] holds the
+//!   id-sorted skyline, its [`ColumnarPoints`] copy and its
+//!   per-dimension sorts ([`DimOrders`]). The caller builds it once per
+//!   skyline (a serving snapshot once per epoch) and every batch reads
+//!   it; workers scan it with the blockwise dominator kernel
+//!   ([`skyup_geom::collect_dominators_cols`]) instead of a scalar
+//!   filter per product.
 //! * **Work stealing** — workers claim items from a shared atomic
 //!   counter in *request-major index order* (all of request 0's
 //!   products in order, then request 1's, ...). The claim order is load
@@ -72,7 +74,9 @@ use crate::cost::CostFunction;
 use crate::error::{panic_message, SkyupError};
 use crate::upgrade::{upgrade_single_presorted_into, DimOrders, UpgradeScratch};
 use skyup_geom::{ColumnarPoints, PointId, PointStore};
-use skyup_obs::{timed, Counter, ExecGuard, Interrupt, Phase, QueryMetrics, Recorder};
+use skyup_obs::{
+    timed, Counter, ExecGuard, Interrupt, NullRecorder, Phase, QueryMetrics, Recorder,
+};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -130,6 +134,60 @@ impl BatchOutput {
             .filter(|(it, out)| it.request == r && out.is_none())
             .map(|(it, _)| it.index)
             .min()
+    }
+}
+
+/// The skyline structure every probe of one competitor set reads: the
+/// id-sorted skyline, its columnar copy for the dominator kernel, and
+/// its per-dimension sorts for Algorithm 1. Build it once per skyline
+/// and hand it to every [`run_probe_batch`] call over that skyline.
+#[derive(Clone, Debug)]
+pub struct SkylineView {
+    skyline: Vec<PointId>,
+    cols: ColumnarPoints,
+    dim_orders: DimOrders,
+}
+
+impl SkylineView {
+    /// Gathers `skyline` (which must be the id-sorted skyline of
+    /// `p_store`'s live set) into its columnar copy and sorts it by
+    /// every dimension.
+    pub fn new(p_store: &PointStore, skyline: Vec<PointId>) -> Self {
+        debug_assert!(
+            skyline.windows(2).all(|w| w[0] < w[1]),
+            "skyline not id-sorted"
+        );
+        let mut cols = ColumnarPoints::new(p_store.dims());
+        cols.gather(p_store, &skyline);
+        let dim_orders = DimOrders::new(p_store, &skyline);
+        SkylineView {
+            skyline,
+            cols,
+            dim_orders,
+        }
+    }
+
+    /// The skyline points that dominate `t`, in skyline (id) order —
+    /// the same list as [`crate::dominators_from_skyline`], found by the
+    /// columnar kernel. `positions` is reusable scratch. Records the
+    /// points compared and the blocks scanned and skipped.
+    pub fn dominators<R: Recorder + ?Sized>(
+        &self,
+        t: &[f64],
+        positions: &mut Vec<u32>,
+        rec: &mut R,
+    ) -> Vec<PointId> {
+        positions.clear();
+        let scan = self.cols.collect_dominators(t, positions);
+        // Charge the points the kernel actually compared: zone-map-
+        // skipped blocks ran no dominance tests.
+        rec.incr(Counter::DominanceTests, scan.points);
+        rec.incr(Counter::KernelBlockScans, scan.blocks);
+        rec.incr(Counter::KernelBlocksSkipped, scan.skipped);
+        positions
+            .iter()
+            .map(|&p| self.skyline[p as usize])
+            .collect()
     }
 }
 
@@ -241,11 +299,12 @@ struct WorkerOut {
 }
 
 /// Evaluates a batch of request-tagged products against one shared
-/// skyline (see the module docs for the execution model and the
+/// skyline view (see the module docs for the execution model and the
 /// bit-identity argument).
 ///
-/// * `skyline` must be the id-sorted skyline of `p_store`'s live set —
-///   the canonical order every dominator list is a subsequence of.
+/// * `view` must be built over `p_store` ([`SkylineView::new`]); its
+///   id-sorted skyline is the canonical order every dominator list is a
+///   subsequence of.
 /// * `cost_fns[r]` and `guards[r]` belong to the request of every item
 ///   with `request == r`; guards are forked per worker, so budgets and
 ///   deadlines stay request-scoped.
@@ -255,7 +314,7 @@ struct WorkerOut {
 #[allow(clippy::too_many_arguments)]
 pub fn run_probe_batch<'a, C, R>(
     p_store: &PointStore,
-    skyline: &[PointId],
+    view: &SkylineView,
     items: &[BatchItem<'a>],
     cost_fns: &[C],
     guards: &[ExecGuard],
@@ -276,6 +335,12 @@ where
         )));
     }
     let dims = p_store.dims();
+    if view.cols.dims() != dims {
+        return Err(SkyupError::InvalidInput(format!(
+            "{}-dimensional skyline view over a {dims}-dimensional store",
+            view.cols.dims()
+        )));
+    }
     for (pos, it) in items.iter().enumerate() {
         if it.request as usize >= guards.len() {
             return Err(SkyupError::InvalidInput(format!(
@@ -291,10 +356,6 @@ where
             )));
         }
     }
-    debug_assert!(
-        skyline.windows(2).all(|w| w[0] < w[1]),
-        "skyline not id-sorted"
-    );
     if n == 0 {
         return Ok(BatchOutput {
             outcomes: Vec::new(),
@@ -303,19 +364,9 @@ where
     }
 
     let collect = rec.is_enabled();
-    let mut cols = ColumnarPoints::new(dims);
-    cols.gather(p_store, skyline);
-    let cols = &cols;
-    // Hoist Algorithm 1's per-dimension sorts: sort the skyline by each
-    // dimension once per batch; workers recover any dominator subset's
-    // order as a subsequence filter (bit-identical — see
-    // `upgrade_single_presorted_into`).
-    let dim_orders = DimOrders::new(p_store, skyline);
-    let dim_orders = &dim_orders;
-
     // See MEMO_MIN_SKYLINE: on small skylines a memo probe costs as
     // much as the kernel scan it replaces.
-    let memo = (skyline.len() >= MEMO_MIN_SKYLINE).then(DominatorMemo::new);
+    let memo = (view.skyline.len() >= MEMO_MIN_SKYLINE).then(DominatorMemo::new);
     let memo = memo.as_ref();
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
@@ -360,21 +411,10 @@ where
             }
             let t = item.coords;
             let mut full_scan = |local: &mut Option<QueryMetrics>| {
-                positions.clear();
-                let scan = cols.collect_dominators(t, &mut positions);
-                if let Some(m) = local {
-                    // Charge the points the kernel actually compared:
-                    // zone-map-skipped blocks ran no dominance tests.
-                    m.incr(Counter::DominanceTests, scan.points);
-                    m.incr(Counter::KernelBlockScans, scan.blocks);
-                    m.incr(Counter::KernelBlocksSkipped, scan.skipped);
-                }
-                Arc::new(
-                    positions
-                        .iter()
-                        .map(|&p| skyline[p as usize])
-                        .collect::<Vec<PointId>>(),
-                )
+                Arc::new(match local {
+                    Some(m) => view.dominators(t, &mut positions, m),
+                    None => view.dominators(t, &mut positions, &mut NullRecorder),
+                })
             };
             let memo_hits_before = memo_hits;
             let dominators: Arc<Vec<PointId>> = match memo.map(|m| m.lookup(t)) {
@@ -408,9 +448,12 @@ where
                 }
                 None => full_scan(&mut local),
             };
+            // Algorithm 1's per-dimension sorts come from the view:
+            // each dominator subset's order is a subsequence filter
+            // (bit-identical — see `upgrade_single_presorted_into`).
             let cost = upgrade_single_presorted_into(
                 p_store,
-                dim_orders,
+                &view.dim_orders,
                 &dominators[..],
                 t,
                 &cost_fns[r],
@@ -600,7 +643,7 @@ mod tests {
             for threads in [1usize, 2, 7] {
                 let out = run_probe_batch(
                     &p,
-                    &sky,
+                    &SkylineView::new(&p, sky.clone()),
                     &items,
                     &cost_fns,
                     &guards,
@@ -653,7 +696,7 @@ mod tests {
         let guards = vec![ExecutionLimits::none().start()];
         let out = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&cost],
             &guards,
@@ -693,7 +736,7 @@ mod tests {
         for threads in [1usize, 4] {
             let out = run_probe_batch(
                 &p,
-                &sky,
+                &SkylineView::new(&p, sky.clone()),
                 &items,
                 &cost_fns,
                 &guards,
@@ -749,7 +792,7 @@ mod tests {
         for threads in [1usize, 3] {
             let out = run_probe_batch(
                 &p,
-                &sky,
+                &SkylineView::new(&p, sky.clone()),
                 &admitted,
                 &cost_fns,
                 &guards,
@@ -799,7 +842,7 @@ mod tests {
         let guards = vec![ExecutionLimits::none().start()];
         let err = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&Bomb],
             &guards,
@@ -826,7 +869,7 @@ mod tests {
         }];
         let err = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&cost],
             &guards,
@@ -845,7 +888,7 @@ mod tests {
         }];
         let err = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&cost],
             &guards,
@@ -859,7 +902,7 @@ mod tests {
         let items: [BatchItem<'_>; 0] = [];
         let err = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&cost, &cost],
             &guards,
@@ -885,7 +928,7 @@ mod tests {
         let guards = vec![ExecutionLimits::none().start()];
         let out = run_probe_batch(
             &p,
-            &sky,
+            &SkylineView::new(&p, sky.clone()),
             &items,
             &[&cost],
             &guards,

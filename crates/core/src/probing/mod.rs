@@ -18,14 +18,15 @@
 //!
 //! Everything else runs on one executor, [`run_probe_batch`]: it
 //! evaluates the flattened product union of many *requests* against
-//! one shared, id-sorted skyline of `P` with the columnar dominance
-//! kernel, work stealing, a cross-request dominator memo, and
-//! per-request execution limits. Because a product's dominator skyline
-//! is `{s ∈ skyline(P) : s ≺ t}`, paying for the skyline once answers
-//! every product exactly. The `skyup-serve` batch pipeline and the
-//! coordinator's gather call it directly; [`probe_topk`] runs a single
-//! top-k query through it as a batch of one request, in fixed-size
-//! chunks of `T`.
+//! one [`SkylineView`] of `P` (the id-sorted skyline, its columnar copy
+//! and its per-dimension sorts) with the columnar dominance kernel,
+//! work stealing, a cross-request dominator memo, and per-request
+//! execution limits. Because a product's dominator skyline is
+//! `{s ∈ skyline(P) : s ≺ t}`, paying for the view once answers every
+//! product exactly. The `skyup-serve` query path (one view per epoch)
+//! and the coordinator's gather call it directly; [`probe_topk`] runs
+//! a single top-k query through it as a batch of one request, in
+//! fixed-size chunks of `T` over one view.
 //!
 //! [`probe_topk`], [`try_basic_probing_topk`] and
 //! [`try_improved_probing_topk`] are the fallible entry points: they
@@ -40,7 +41,7 @@ mod improved;
 mod probe_topk;
 
 pub use basic::{basic_probing_topk, basic_probing_topk_rec, try_basic_probing_topk};
-pub use batch::{run_probe_batch, BatchItem, BatchOutput, ItemAnswer};
+pub use batch::{run_probe_batch, BatchItem, BatchOutput, ItemAnswer, SkylineView};
 pub use improved::{improved_probing_topk, improved_probing_topk_rec, try_improved_probing_topk};
 pub use probe_topk::{probe_topk, ProbeOptions};
 

@@ -1,10 +1,10 @@
 //! The fallible top-k entry point over the probe executor.
 //!
 //! A single query is a batch of one request: the id-sorted skyline of
-//! `P` is computed once, `T` is fed through [`run_probe_batch`] in
-//! fixed-size chunks, and every chunk's answers are folded into a
-//! [`TopK`] in `(cost, product id)` order and dropped before the next
-//! chunk runs. Each product's dominator skyline is
+//! `P` and its [`SkylineView`] are built once, `T` is fed through
+//! [`run_probe_batch`] in fixed-size chunks, and every chunk's answers
+//! are folded into a [`TopK`] in `(cost, product id)` order and dropped
+//! before the next chunk runs. Each product's dominator skyline is
 //! `{s ∈ skyline(P) : s ≺ t}` ([`crate::dominators_from_skyline`]), so
 //! the answer is bit-identical to the sequential
 //! [`crate::improved_probing_topk`] at any thread count — without an
@@ -19,7 +19,7 @@
 use crate::config::UpgradeConfig;
 use crate::cost::CostFunction;
 use crate::error::{validate_inputs, SkyupError};
-use crate::probing::{run_probe_batch, BatchItem};
+use crate::probing::{run_probe_batch, BatchItem, SkylineView};
 use crate::result::{AnytimeTopK, UpgradeResult};
 use crate::topk::TopK;
 use skyup_geom::{PointId, PointStore};
@@ -88,11 +88,11 @@ where
 {
     opts.validate()?;
     validate_inputs(p_store, t_store, k, cost_fn)?;
-    let skyline = timed(rec, Phase::DominatingSky, |rec| {
+    let view = timed(rec, Phase::DominatingSky, |rec| {
         let all: Vec<PointId> = p_store.ids().collect();
         let mut sky = skyline_sfs_rec(p_store, &all, rec);
         sky.sort_unstable();
-        sky
+        SkylineView::new(p_store, sky)
     });
 
     let mut guard = opts.limits.start();
@@ -119,7 +119,7 @@ where
         next = end;
         let out = run_probe_batch(
             p_store,
-            &skyline,
+            &view,
             &items,
             &[cost_fn],
             std::slice::from_ref(&guard),

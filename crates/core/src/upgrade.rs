@@ -245,6 +245,7 @@ fn sweep_dimension<C: CostFunction + ?Sized>(
 /// dominator list is a subset of one shared skyline, so the sorts can
 /// be hoisted: sort the skyline by each dimension once, then recover
 /// any subset's per-dimension order as a subsequence filter.
+#[derive(Clone, Debug)]
 pub struct DimOrders {
     per_dim: Vec<Vec<PointId>>,
 }

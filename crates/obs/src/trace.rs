@@ -38,11 +38,8 @@ pub enum TraceClass {
     /// A query answered entirely from the dominance-aware result cache
     /// (zero misses).
     QueryCached,
-    /// A query with at least one cache miss, computed per-request.
+    /// A query with at least one cache miss.
     QueryCold,
-    /// A query with at least one cache miss, computed through the
-    /// shared batch pipeline.
-    QueryBatched,
     /// A query shed at admission (queue full, zero deadline, or
     /// shutdown) — never executed.
     QueryShed,
@@ -54,10 +51,9 @@ pub enum TraceClass {
 
 impl TraceClass {
     /// Every class, in declaration order.
-    pub const ALL: [TraceClass; 6] = [
+    pub const ALL: [TraceClass; 5] = [
         TraceClass::QueryCached,
         TraceClass::QueryCold,
-        TraceClass::QueryBatched,
         TraceClass::QueryShed,
         TraceClass::Mutation,
         TraceClass::Stats,
@@ -71,7 +67,6 @@ impl TraceClass {
         match self {
             TraceClass::QueryCached => "query_cached",
             TraceClass::QueryCold => "query_cold",
-            TraceClass::QueryBatched => "query_batched",
             TraceClass::QueryShed => "query_shed",
             TraceClass::Mutation => "mutation",
             TraceClass::Stats => "stats",
@@ -109,11 +104,12 @@ pub struct Trace {
     pub cache_misses: u64,
     /// Batch items answered via the cross-request dominator memo.
     pub memo_hits: u64,
-    /// Point-vs-point dominance tests charged to this request.
+    /// Point-vs-point dominance tests of the batch that answered this
+    /// request (shared by every request of the batch).
     pub dominance_tests: u64,
     /// Time from ingress to worker pickup (or to the shed decision).
     pub queue_nanos: u64,
-    /// Batch-assembly share (batched requests; 0 on per-request path).
+    /// Batch-assembly share (shared by every request of the batch).
     pub assemble_nanos: u64,
     /// Kernel execution time (cache lookup + probing/upgrade work).
     pub exec_nanos: u64,

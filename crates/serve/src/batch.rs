@@ -1,11 +1,9 @@
-//! The batch execution path: one admission window's requests answered
-//! together against one pinned snapshot.
-//!
-//! [`execute_batch`] is the batched counterpart of
-//! [`crate::execute_query`] — same validation, same budget accounting,
-//! same response shape, bit-identical answers — but the product union of
-//! the whole batch is evaluated through
-//! [`skyup_core::run_probe_batch`]: one shared skyline view, columnar
+//! The query path: a batch of requests answered together against one
+//! pinned snapshot. Every served query runs here — a pool worker hands
+//! over the backlog it drained (one request when the server is idle),
+//! and [`crate::execute_query`] is a batch of one. Misses are evaluated
+//! through [`skyup_core::run_probe_batch`] over the snapshot's
+//! [`skyup_core::SkylineView`] (built once per epoch): columnar
 //! dominance kernels, work stealing across `threads` workers, and a
 //! cross-request dominator memo.
 //!
@@ -13,31 +11,31 @@
 //!
 //! * **Assembly** (timed as [`Phase::BatchAssemble`]) walks each
 //!   request's products in index order and charges
-//!   [`ExecGuard::visit_node`] per product — exactly the sequential
-//!   path's cache-independent accounting, so a `max_products` budget
-//!   sheds at the same index batched or not. Cache lookups for the whole
-//!   window happen under one shared-lock acquisition, so every request
-//!   in the batch sees the same published epoch.
+//!   [`ExecGuard::visit_node`](skyup_obs::ExecGuard::visit_node) per
+//!   product, hit or miss, so a `max_products` budget sheds at the same
+//!   index whatever the cache holds and whoever shares the batch. Cache
+//!   lookups for the whole batch happen under one shared-lock
+//!   acquisition, so every request in it sees the same published epoch.
 //! * **Execution** honors each request's remaining limits through
 //!   per-worker guard forks; a deadline or cancellation cuts only the
 //!   owning request's items.
-//! * **Merge** truncates each request at its first cut index (see
-//!   [`BatchOutput::first_cut`]): the reported `evaluated` prefix is
-//!   fully computed and each retained answer is bit-identical to what
-//!   [`crate::execute_query`] produces for the same `(product, epoch,
-//!   cost)` — both paths filter the same id-sorted skyline and run the
-//!   same Algorithm 1 — so clients cannot tell *how* their answer was
-//!   scheduled, only that it arrived sooner.
+//! * **Merge** truncates each request at its first cut index: the
+//!   reported `evaluated` prefix is fully computed, and each retained
+//!   answer is bit-identical to a sequential
+//!   [`Snapshot::answer`](crate::Snapshot::answer) for the same
+//!   `(product, epoch, cost)` — both filter the same id-sorted skyline
+//!   and run the same Algorithm 1 — so clients cannot tell *how* their
+//!   answer was scheduled, or with whom.
 //!
 //! Every computed answer (even one past a cut, already paid for) is
-//! offered to the result cache under the same epoch gate as the
-//! sequential path, so a batch warms the cache for its successors.
+//! offered to the result cache under the epoch gate, so a batch warms
+//! the cache for its successors.
 
 use crate::cache::CacheKey;
 use crate::engine::Engine;
 use crate::server::{validate_request, ProductAnswer, QueryRequest, QueryResponse};
 use crate::snapshot::Answer;
-use skyup_core::{run_probe_batch, BatchItem, SkyupError, UpgradeConfig};
+use skyup_core::{run_probe_batch, BatchItem, BatchOutput, SkyupError, UpgradeConfig};
 use skyup_obs::{
     clocked, timed, Completion, Counter, ExecutionLimits, Interrupt, Phase, QueryMetrics, Recorder,
 };
@@ -75,12 +73,15 @@ pub struct BatchStats {
     /// scanning. `kernel_blocks_scanned + kernel_blocks_skipped` equals
     /// the total blocks every full scan covered.
     pub kernel_blocks_skipped: u64,
+    /// Point-vs-point dominance tests the batch ran (batch-wide, like
+    /// the kernel block counts).
+    pub dominance_tests: u64,
 }
 
 /// Executes a window of queries as one batch against one pinned
 /// snapshot, returning one result per request in input order. Public so
 /// the bench harness and the property suite can drive the exact code
-/// path the dispatcher runs.
+/// path the server's workers run.
 ///
 /// Requests are validated individually: an invalid request gets its own
 /// `Err` slot and the rest of the batch still executes.
@@ -93,14 +94,15 @@ pub fn execute_batch(
 }
 
 /// [`execute_batch`] plus the per-request telemetry attribution the
-/// dispatcher turns into traces. The answers are byte-for-byte the
+/// workers turn into traces. The answers are byte-for-byte the
 /// same; the stats are derived from accounting the batch already does.
 pub fn execute_batch_stats(
     engine: &Engine,
     reqs: &[QueryRequest],
     threads: usize,
 ) -> (Vec<Result<QueryResponse, SkyupError>>, BatchStats) {
-    let dims = engine.dims();
+    let snap = engine.snapshot();
+    let dims = snap.dims();
     let mut stats = BatchStats {
         per_request: vec![BatchRequestStats::default(); reqs.len()],
         ..BatchStats::default()
@@ -119,21 +121,19 @@ pub fn execute_batch_stats(
         return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
     }
 
-    let snap = engine.snapshot();
-    let cfg = UpgradeConfig::default();
     let mut rec = QueryMetrics::new();
     rec.bump(Counter::BatchesExecuted);
     rec.incr(Counter::BatchedRequests, valid.len() as u64);
 
-    // Per valid request: its materialized cost function, started guard,
-    // assembly outcome, and cache hits.
-    let mut cost_fns = Vec::with_capacity(valid.len());
+    // Per valid request: its started guard, assembly outcome, cache
+    // hits, and the range of `items` holding its misses.
     let mut guards = Vec::with_capacity(valid.len());
     // Products charged (and therefore assembled) before the request's
     // budget fired during assembly, per valid request.
     let mut assembled: Vec<usize> = Vec::with_capacity(valid.len());
-    // `(product index, answer)` pairs served from the cache.
-    let mut hits: Vec<Vec<(usize, Answer)>> = Vec::with_capacity(valid.len());
+    // Answers served from the cache.
+    let mut hits: Vec<Vec<ProductAnswer>> = Vec::with_capacity(valid.len());
+    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(valid.len());
     // The flattened misses, request-major and index-ascending — the
     // claim order `run_probe_batch` relies on for prefix-exact cuts.
     let mut items: Vec<BatchItem<'_>> = Vec::new();
@@ -141,7 +141,6 @@ pub fn execute_batch_stats(
     timed(&mut rec, Phase::BatchAssemble, |rec| {
         for &slot in &valid {
             let req = &reqs[slot];
-            cost_fns.push(req.cost.cost_fn(dims));
             let mut limits = ExecutionLimits::default();
             if let Some(n) = req.max_products {
                 limits = limits.with_max_node_visits(n);
@@ -156,23 +155,29 @@ pub fn execute_batch_stats(
             for (dense, &slot) in valid.iter().enumerate() {
                 let req = &reqs[slot];
                 let tag = req.cost.tag();
-                let mut my_hits: Vec<(usize, Answer)> = Vec::new();
+                let mut my_hits = Vec::new();
                 let mut charged = 0usize;
+                let first_item = items.len();
                 for (index, t) in req.products.iter().enumerate() {
-                    // One unit per product, hit or miss — identical to
-                    // the sequential path's accounting.
+                    // One unit per product, hit or miss.
                     if guards[dense].visit_node().is_err() {
                         break;
                     }
                     charged = index + 1;
-                    let cached = cache_live
-                        .then(|| cache.get(&CacheKey::new(t, tag)).cloned())
-                        .flatten();
+                    let cached = if cache_live {
+                        cache.get(&CacheKey::new(t, tag))
+                    } else {
+                        None
+                    };
                     match cached {
                         Some(a) => {
                             rec.bump(Counter::CacheHit);
                             stats.per_request[slot].cache_hits += 1;
-                            my_hits.push((index, a));
+                            my_hits.push(ProductAnswer {
+                                index,
+                                cost: a.cost,
+                                upgraded: a.upgraded.clone(),
+                            });
                         }
                         None => {
                             rec.bump(Counter::CacheMiss);
@@ -187,86 +192,85 @@ pub fn execute_batch_stats(
                 }
                 assembled.push(charged);
                 hits.push(my_hits);
+                ranges.push(first_item..items.len());
             }
         });
     });
 
     stats.assemble_nanos = rec.phase_nanos(Phase::BatchAssemble);
 
-    let (exec_nanos, ran) = clocked(|| {
-        run_probe_batch(
-            snap.store(),
-            snap.skyline(),
-            &items,
-            &cost_fns,
-            &guards,
-            &cfg,
-            threads,
-            &mut rec,
-        )
-    });
-    stats.exec_nanos = exec_nanos;
-    stats.kernel_blocks_scanned = rec.get(Counter::KernelBlockScans);
-    stats.kernel_blocks_skipped = rec.get(Counter::KernelBlocksSkipped);
-    let out = match ran {
-        Ok(out) => out,
-        Err(SkyupError::WorkerPanicked { worker, message }) => {
-            engine.absorb_metrics(&rec);
-            for &slot in &valid {
-                results[slot] = Some(Err(SkyupError::WorkerPanicked {
-                    worker,
-                    message: message.clone(),
-                }));
-            }
-            return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
+    let out = if items.is_empty() {
+        // All hits: nothing to compute, so neither the cost functions
+        // nor the epoch's skyline view are needed.
+        BatchOutput {
+            outcomes: Vec::new(),
+            memo_hits: 0,
         }
-        Err(e) => {
-            engine.absorb_metrics(&rec);
-            for &slot in &valid {
-                results[slot] = Some(Err(match &e {
-                    SkyupError::InvalidInput(m) => SkyupError::InvalidInput(m.clone()),
-                    other => SkyupError::InvalidInput(format!("batch execution failed: {other}")),
-                }));
+    } else {
+        let cost_fns: Vec<_> = valid
+            .iter()
+            .map(|&slot| reqs[slot].cost.cost_fn(dims))
+            .collect();
+        let (exec_nanos, ran) = clocked(|| {
+            run_probe_batch(
+                snap.store(),
+                snap.view(),
+                &items,
+                &cost_fns,
+                &guards,
+                &UpgradeConfig::default(),
+                threads,
+                &mut rec,
+            )
+        });
+        stats.exec_nanos = exec_nanos;
+        stats.kernel_blocks_scanned = rec.get(Counter::KernelBlockScans);
+        stats.kernel_blocks_skipped = rec.get(Counter::KernelBlocksSkipped);
+        stats.dominance_tests = rec.get(Counter::DominanceTests);
+        match ran {
+            Ok(out) => out,
+            Err(e) => {
+                engine.absorb_metrics(&rec);
+                for &slot in &valid {
+                    results[slot] = Some(Err(match &e {
+                        SkyupError::WorkerPanicked { worker, message } => {
+                            SkyupError::WorkerPanicked {
+                                worker: *worker,
+                                message: message.clone(),
+                            }
+                        }
+                        SkyupError::InvalidInput(m) => SkyupError::InvalidInput(m.clone()),
+                        other => {
+                            SkyupError::InvalidInput(format!("batch execution failed: {other}"))
+                        }
+                    }));
+                }
+                return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
             }
-            return (results.into_iter().map(|r| r.unwrap()).collect(), stats);
         }
     };
 
-    // Per-request memo attribution, straight off the items each worker
-    // answered.
-    for (item, outcome) in items.iter().zip(&out.outcomes) {
-        if let Some(a) = outcome {
-            if a.memo_hit {
-                stats.per_request[valid[item.request as usize]].memo_hits += 1;
-            }
-        }
-    }
-
-    // Merge: per request, truncate at the first execution-time cut so
-    // the reported prefix is complete, then apply the sequential path's
-    // (cost, index) sort and top-k truncation.
+    // Merge, one pass over each request's own items: truncate at the
+    // first execution-time cut so the reported prefix is complete, then
+    // sort by (cost, index) and keep the top k.
     for (dense, &slot) in valid.iter().enumerate() {
         let req = &reqs[slot];
-        let first_cut = out.first_cut(&items, dense as u32);
-        let evaluated = match first_cut {
-            Some(i) => (i as usize).min(assembled[dense]),
-            None => assembled[dense],
-        };
-        let mut answers: Vec<ProductAnswer> = Vec::new();
-        for (index, a) in &hits[dense] {
-            if *index < evaluated {
-                answers.push(ProductAnswer {
-                    index: *index,
-                    cost: a.cost,
-                    upgraded: a.upgraded.clone(),
-                });
-            }
-        }
-        for (item, outcome) in items.iter().zip(&out.outcomes) {
-            if item.request as usize != dense {
-                continue;
-            }
+        let range = ranges[dense].clone();
+        let mine = &items[range.clone()];
+        let outcomes = &out.outcomes[range];
+        // Items are index-ascending, so the first cut by position is
+        // the lowest cut index.
+        let first_cut = mine
+            .iter()
+            .zip(outcomes)
+            .find(|(_, o)| o.is_none())
+            .map(|(item, _)| item.index as usize);
+        let evaluated = first_cut.map_or(assembled[dense], |i| i.min(assembled[dense]));
+        let mut answers = std::mem::take(&mut hits[dense]);
+        answers.retain(|a| a.index < evaluated);
+        for (item, outcome) in mine.iter().zip(outcomes) {
             if let Some(a) = outcome {
+                stats.per_request[slot].memo_hits += u64::from(a.memo_hit);
                 if (item.index as usize) < evaluated {
                     answers.push(ProductAnswer {
                         index: item.index as usize,
@@ -298,26 +302,28 @@ pub fn execute_batch_stats(
 
     // The cache learns every computed answer — including ones past a
     // cut (already paid for, and pure functions of the epoch).
-    let fills = items
-        .iter()
-        .zip(&out.outcomes)
-        .filter_map(|(item, outcome)| {
-            outcome.as_ref().map(|a| {
-                let req = &reqs[valid[item.request as usize]];
-                let key = CacheKey::new(item.coords, req.cost.tag());
-                let used = a.dominators.iter().map(|&pid| snap.cid(pid)).collect();
-                (
-                    key,
-                    item.coords,
-                    Answer {
-                        cost: a.cost,
-                        upgraded: a.upgraded.clone(),
-                        used,
-                    },
-                )
-            })
-        });
-    engine.fill_cache(fills, snap.epoch());
+    if !items.is_empty() {
+        let fills = items
+            .iter()
+            .zip(out.outcomes)
+            .filter_map(|(item, outcome)| {
+                outcome.map(|a| {
+                    let req = &reqs[valid[item.request as usize]];
+                    let key = CacheKey::new(item.coords, req.cost.tag());
+                    let used = a.dominators.iter().map(|&pid| snap.cid(pid)).collect();
+                    (
+                        key,
+                        item.coords,
+                        Answer {
+                            cost: a.cost,
+                            upgraded: a.upgraded,
+                            used,
+                        },
+                    )
+                })
+            });
+        engine.fill_cache(fills, snap.epoch());
+    }
     engine.absorb_metrics(&rec);
     (results.into_iter().map(|r| r.unwrap()).collect(), stats)
 }

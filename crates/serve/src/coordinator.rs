@@ -51,7 +51,7 @@ use crate::proto::{
 use crate::server::{validate_request, ProductAnswer, QueryRequest, QueryResponse};
 use crate::shard::{FlipAck, Partition, ProbeRequest, ProbeResponse, ShardState, StagedOp};
 use crate::CompetitorId;
-use skyup_core::{run_probe_batch, BatchItem, SkyupError, UpgradeConfig};
+use skyup_core::{run_probe_batch, BatchItem, SkylineView, SkyupError, UpgradeConfig};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::json::{self, Json};
 use skyup_obs::{
@@ -443,7 +443,7 @@ impl<L: ShardLink> Coordinator<L> {
         let merge_guard = ExecutionLimits::default().start();
         let out = run_probe_batch(
             &store,
-            &merged,
+            &SkylineView::new(&store, merged),
             &items,
             &[cost_fn],
             &[merge_guard],

@@ -34,7 +34,7 @@ use skyup_rtree::persist::{snapshot_from_bytes, snapshot_to_bytes};
 use skyup_rtree::{RTree, RTreeParams};
 use skyup_skyline::skyline_sfs;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A competitor-set mutation, the unit of the writer's log.
 #[derive(Clone, Debug, PartialEq)]
@@ -799,6 +799,7 @@ impl Engine {
             skyline: w.skyline.clone(),
             cid_of: w.cid_of.clone(),
             live_count: w.live_count,
+            view: OnceLock::new(),
         }
     }
 

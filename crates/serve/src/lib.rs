@@ -8,8 +8,8 @@
 //! * [`engine`] — the epoch-based engine: a single writer applies
 //!   competitor mutations ([`Mutation`]) to a working copy and
 //!   atomically publishes immutable [`Snapshot`]s (store + R-tree +
-//!   precomputed live-set skyline) that query workers read lock-free
-//!   after one `Arc` clone. A degradation heuristic triggers periodic
+//!   precomputed live-set skyline, plus its lazily built skyline view)
+//!   that query workers read lock-free after one `Arc` clone. A degradation heuristic triggers periodic
 //!   STR rebuilds with store compaction; stable competitor ids survive
 //!   the renumbering.
 //! * [`cache`] — the dominance-aware result cache: completed
@@ -17,10 +17,16 @@
 //!   test for inserts, used-dominator test for deletes) instead of
 //!   flushed per epoch.
 //! * [`server`] / [`net`] / [`proto`] — the front-end: a fixed worker
-//!   pool draining a bounded queue, per-request deadlines and budgets
-//!   mapped onto [`skyup_obs::ExecutionLimits`], overload shed as
-//!   `Completion::Partial(Interrupt::Overloaded)`, exposed in-process
-//!   ([`ServeHandle`]) and as newline-delimited JSON over TCP.
+//!   pool draining a bounded queue into batches, per-request deadlines
+//!   and budgets mapped onto [`skyup_obs::ExecutionLimits`], overload
+//!   shed as `Completion::Partial(Interrupt::Overloaded)`, exposed
+//!   in-process ([`ServeHandle`]) and as newline-delimited JSON over
+//!   TCP.
+//! * [`batch`] — the one query path: every query, alone or with the
+//!   backlog a worker drained, is answered by [`execute_batch_stats`]
+//!   over the epoch's [`skyup_core::SkylineView`] through
+//!   [`skyup_core::run_probe_batch`]; [`execute_query`] is a batch of
+//!   one.
 //! * [`telemetry`] — request observability, off the result path:
 //!   per-request traces ([`skyup_obs::Trace`]) with queue/assembly/
 //!   execution phase breakdowns, per-class log-scale latency

@@ -1,6 +1,14 @@
-//! The request front-end: a fixed worker pool draining a bounded queue,
-//! with per-request deadlines and budgets mapped onto
-//! [`ExecutionLimits`] and overload shed as a first-class answer.
+//! The request front-end: a fixed worker pool draining a bounded queue
+//! into batches, with per-request deadlines and budgets mapped onto
+//! [`skyup_obs::ExecutionLimits`] and overload shed as a first-class
+//! answer.
+//!
+//! There is one serving path. Each worker takes the oldest queued
+//! request plus the backlog behind it (up to `max_batch`), optionally
+//! waits `batch_window_us` for companions when it is alone, and answers
+//! the batch through [`crate::execute_batch_stats`]; an idle server
+//! answers batches of one. [`execute_query`] is that same path for a
+//! single request on the calling thread.
 //!
 //! Shedding never blocks and never errors: a request that cannot be
 //! queued (queue full) or that arrived already dead (zero deadline)
@@ -20,10 +28,9 @@ use crate::engine::{Engine, EngineStats, Mutation, MutationOutcome};
 use crate::telemetry::Telemetry;
 use crate::CompetitorId;
 use skyup_core::cost::{AttributeCost, LinearCost, SumCost};
-use skyup_core::{SkyupError, UpgradeConfig};
+use skyup_core::SkyupError;
 use skyup_obs::{
-    clocked, Completion, Counter, ExecutionLimits, Interrupt, QueryMetrics, Recorder, Trace,
-    TraceClass, TraceId,
+    clocked, Completion, Counter, Interrupt, QueryMetrics, Trace, TraceClass, TraceId,
 };
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -115,20 +122,18 @@ pub struct QueryResponse {
 /// Front-end sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads executing queries. With batching on, this is the
-    /// shard-execution width inside each batch instead of the number of
-    /// independent pool workers.
+    /// Pool workers, each draining the queue into batches; also the
+    /// executor width inside each batch (capped at the host's
+    /// available parallelism).
     pub threads: usize,
     /// Bounded queue capacity; a full queue sheds.
     pub queue_cap: usize,
-    /// Admission window for the batch dispatcher, in microseconds.
-    /// `0` (the default) disables batching entirely: requests run on
-    /// the classic per-request worker pool. Non-zero, a single
-    /// dispatcher thread waits up to this long after the first queued
-    /// request for companions, then executes the window as one batch
-    /// ([`crate::execute_batch`]).
+    /// How long, in microseconds, a worker holding a lone request waits
+    /// for companions before answering it. `0` (the default) means no
+    /// wait: a batch is whatever backlog the worker finds, at least
+    /// one request.
     pub batch_window_us: u64,
-    /// Most requests admitted into one batch (batching mode only).
+    /// Most requests a worker takes into one batch.
     pub max_batch: usize,
     /// Slow-query threshold in milliseconds: completed traces at or
     /// over it enter the slow-query log. `0` disables the latency
@@ -198,12 +203,12 @@ fn admin_trace(id: TraceId, class: TraceClass, epoch: u64, nanos: u64) -> Trace 
 
 /// Request class of an executed (non-shed) query: everything answered
 /// from the cache is `QueryCached`; anything that computed at least one
-/// product is `QueryCold` or `QueryBatched` by scheduling path.
-fn classify(cache_misses: u64, batched: bool) -> TraceClass {
-    match (cache_misses, batched) {
-        (0, _) => TraceClass::QueryCached,
-        (_, true) => TraceClass::QueryBatched,
-        (_, false) => TraceClass::QueryCold,
+/// product is `QueryCold`.
+fn classify(cache_misses: u64) -> TraceClass {
+    if cache_misses == 0 {
+        TraceClass::QueryCached
+    } else {
+        TraceClass::QueryCold
     }
 }
 
@@ -244,6 +249,92 @@ struct Queue {
     cap: usize,
 }
 
+impl Queue {
+    /// Blocks for the next batch: the oldest job, then whatever queued
+    /// behind it (up to `max_batch`). Under load that backlog *is* the
+    /// batch, at no added latency; a lone job waits at most `window`
+    /// for companions (`0`: no wait). `None` once the queue is shut
+    /// down and drained.
+    fn next_batch(&self, max_batch: usize, window: Duration) -> Option<Vec<Job>> {
+        let mut guard = self.jobs.lock().unwrap();
+        let first = loop {
+            if let Some(job) = guard.0.pop_front() {
+                break job;
+            }
+            if guard.1 {
+                return None;
+            }
+            guard = self.ready.wait(guard).unwrap();
+        };
+        let mut batch = vec![first];
+        let deadline = Instant::now() + window;
+        while batch.len() < max_batch {
+            if let Some(job) = guard.0.pop_front() {
+                batch.push(job);
+                continue;
+            }
+            if batch.len() > 1 || guard.1 {
+                break;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            guard = self.ready.wait_timeout(guard, left).unwrap().0;
+        }
+        Some(batch)
+    }
+}
+
+/// Answers one batch and replies to each of its jobs, tracing every
+/// executed request.
+fn run_batch(engine: &Engine, tel: &Telemetry, batch: Vec<Job>, threads: usize) {
+    // Queue wait ends for every member when a worker picks the batch up.
+    let picked = Instant::now();
+    let (reqs, rest): (Vec<QueryRequest>, Vec<_>) = batch
+        .into_iter()
+        .map(|j| (j.req, (j.reply, j.id, j.ingress)))
+        .unzip();
+    let (results, stats) = crate::batch::execute_batch_stats(engine, &reqs, threads);
+    for (i, ((reply, id, ingress), res)) in rest.into_iter().zip(results).enumerate() {
+        if let Ok(resp) = &res {
+            let per = &stats.per_request[i];
+            // Assembly, kernel time and dominance tests are batch-level
+            // and therefore shared across the batch's traces; queue wait
+            // and total latency are per-request.
+            finish_trace(
+                tel,
+                engine,
+                Trace {
+                    id,
+                    class: classify(per.cache_misses),
+                    epoch: resp.epoch,
+                    completion: resp.completion,
+                    shed: false,
+                    products: reqs[i].products.len() as u64,
+                    evaluated: resp.evaluated as u64,
+                    cache_hits: per.cache_hits,
+                    cache_misses: per.cache_misses,
+                    memo_hits: per.memo_hits,
+                    dominance_tests: stats.dominance_tests,
+                    queue_nanos: nanos_between(ingress, picked),
+                    assemble_nanos: stats.assemble_nanos,
+                    exec_nanos: stats.exec_nanos,
+                    total_nanos: nanos_between(ingress, Instant::now()),
+                },
+            );
+        }
+        // A dropped receiver (client gave up) is not an error.
+        let _ = reply.send(res);
+    }
+}
+
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from)
+        .as_nanos()
+        .min(u64::MAX as u128) as u64
+}
+
 /// Handle to a running server: submit queries, apply mutations, read
 /// stats, shut down. Cheap to clone; all clones share the engine and
 /// the worker pool.
@@ -256,8 +347,11 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Starts the worker pool (or, with `batch_window_us > 0`, the
-    /// batch dispatcher) over `engine`.
+    /// Starts `threads` workers over `engine`. Each worker pops the
+    /// oldest queued request, greedily drains the backlog behind it up
+    /// to `max_batch`, waits up to `batch_window_us` for companions if
+    /// it is still alone, and answers the batch through
+    /// [`crate::execute_batch_stats`].
     pub fn start(engine: Arc<Engine>, cfg: ServeConfig) -> ServeHandle {
         let threads = cfg.threads.max(1);
         let queue = Arc::new(Queue {
@@ -266,157 +360,20 @@ impl ServeHandle {
             cap: cfg.queue_cap.max(1),
         });
         let telemetry = Arc::new(Telemetry::new(cfg.slow_ms, cfg.trace_buffer));
-        let mut workers = Vec::new();
-        if cfg.batch_window_us > 0 {
-            // One dispatcher drains admission windows and executes each
-            // as a batch with `threads` shard workers.
-            let queue = Arc::clone(&queue);
-            let engine = Arc::clone(&engine);
-            let tel = Arc::clone(&telemetry);
-            let window = Duration::from_micros(cfg.batch_window_us);
-            let max_batch = cfg.max_batch.max(1);
-            workers.push(std::thread::spawn(move || loop {
-                let mut batch: Vec<Job> = Vec::new();
-                {
-                    let mut guard = queue.jobs.lock().unwrap();
-                    // Wait for the window's first request (drain-then-exit
-                    // on shutdown, like the classic pool).
-                    loop {
-                        if let Some(job) = guard.0.pop_front() {
-                            batch.push(job);
-                            break;
-                        }
-                        if guard.1 {
-                            return;
-                        }
-                        guard = queue.ready.wait(guard).unwrap();
-                    }
-                    // Greedily drain whatever queued while the previous
-                    // batch executed — under load, that backlog IS the
-                    // batch, with no added latency. The admission window
-                    // only delays a *lone* request, giving companions
-                    // one chance to arrive before it executes solo.
-                    let deadline = std::time::Instant::now() + window;
-                    while batch.len() < max_batch {
-                        if let Some(job) = guard.0.pop_front() {
-                            batch.push(job);
-                            continue;
-                        }
-                        if batch.len() > 1 || guard.1 {
-                            break;
-                        }
-                        let now = std::time::Instant::now();
-                        let Some(left) = deadline.checked_duration_since(now) else {
-                            break;
-                        };
-                        if left.is_zero() {
-                            break;
-                        }
-                        let (g, timeout) = queue.ready.wait_timeout(guard, left).unwrap();
-                        guard = g;
-                        if timeout.timed_out() && guard.0.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                // Queue wait ends for every member when the dispatcher
-                // picks the window up.
-                let queue_nanos: Vec<u64> = batch
-                    .iter()
-                    .map(|j| j.ingress.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                    .collect();
-                let (reqs, rest): (Vec<QueryRequest>, Vec<_>) = batch
-                    .into_iter()
-                    .map(|j| (j.req, (j.reply, j.id, j.ingress)))
-                    .unzip();
-                let (results, stats) = crate::batch::execute_batch_stats(&engine, &reqs, threads);
-                for (i, ((reply, id, ingress), res)) in rest.into_iter().zip(results).enumerate() {
-                    if let Ok(resp) = &res {
-                        let per = &stats.per_request[i];
-                        // Assembly and kernel time are batch-level and
-                        // therefore shared across the window's traces;
-                        // queue wait and total latency are per-request.
-                        finish_trace(
-                            &tel,
-                            &engine,
-                            Trace {
-                                id,
-                                class: classify(per.cache_misses, true),
-                                epoch: resp.epoch,
-                                completion: resp.completion,
-                                shed: false,
-                                products: reqs[i].products.len() as u64,
-                                evaluated: resp.evaluated as u64,
-                                cache_hits: per.cache_hits,
-                                cache_misses: per.cache_misses,
-                                memo_hits: per.memo_hits,
-                                // The shared columnar kernel does not
-                                // attribute dominance tests per request.
-                                dominance_tests: 0,
-                                queue_nanos: queue_nanos[i],
-                                assemble_nanos: stats.assemble_nanos,
-                                exec_nanos: stats.exec_nanos,
-                                total_nanos: ingress.elapsed().as_nanos().min(u64::MAX as u128)
-                                    as u64,
-                            },
-                        );
-                    }
-                    // A dropped receiver (client gave up) is not an error.
-                    let _ = reply.send(res);
-                }
-            }));
-        } else {
-            workers.reserve(threads);
-            for _ in 0..threads {
+        let window = Duration::from_micros(cfg.batch_window_us);
+        let max_batch = cfg.max_batch.max(1);
+        let workers = (0..threads)
+            .map(|_| {
                 let queue = Arc::clone(&queue);
                 let engine = Arc::clone(&engine);
                 let tel = Arc::clone(&telemetry);
-                workers.push(std::thread::spawn(move || loop {
-                    let job = {
-                        let mut guard = queue.jobs.lock().unwrap();
-                        loop {
-                            if let Some(job) = guard.0.pop_front() {
-                                break job;
-                            }
-                            if guard.1 {
-                                return;
-                            }
-                            guard = queue.ready.wait(guard).unwrap();
-                        }
-                    };
-                    let queue_nanos = job.ingress.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    let mut rec = QueryMetrics::new();
-                    let (exec_nanos, res) =
-                        clocked(|| execute_query_with(&engine, &job.req, &mut rec));
-                    if let Ok(resp) = &res {
-                        finish_trace(
-                            &tel,
-                            &engine,
-                            Trace {
-                                id: job.id,
-                                class: classify(rec.get(Counter::CacheMiss), false),
-                                epoch: resp.epoch,
-                                completion: resp.completion,
-                                shed: false,
-                                products: job.req.products.len() as u64,
-                                evaluated: resp.evaluated as u64,
-                                cache_hits: rec.get(Counter::CacheHit),
-                                cache_misses: rec.get(Counter::CacheMiss),
-                                memo_hits: rec.get(Counter::DominatorMemoHits),
-                                dominance_tests: rec.get(Counter::DominanceTests),
-                                queue_nanos,
-                                assemble_nanos: 0,
-                                exec_nanos,
-                                total_nanos: job.ingress.elapsed().as_nanos().min(u64::MAX as u128)
-                                    as u64,
-                            },
-                        );
+                std::thread::spawn(move || {
+                    while let Some(batch) = queue.next_batch(max_batch, window) {
+                        run_batch(&engine, &tel, batch, threads);
                     }
-                    // A dropped receiver (client gave up) is not an error.
-                    let _ = job.reply.send(res);
-                }));
-            }
-        }
+                })
+            })
+            .collect();
         ServeHandle {
             engine,
             queue,
@@ -439,10 +396,9 @@ impl ServeHandle {
 
     /// Submits a query without waiting: the returned [`QueryTicket`]
     /// resolves to the answer later. This is what lets a client keep
-    /// many requests in flight — the feed pattern the batch dispatcher's
-    /// admission window exists to coalesce. Shed decisions (zero
-    /// deadline, full queue, shutdown) are still taken synchronously at
-    /// submission.
+    /// many requests in flight — the backlog the workers coalesce into
+    /// batches. Shed decisions (zero deadline, full queue, shutdown) are
+    /// still taken synchronously at submission.
     pub fn query_async(&self, req: QueryRequest) -> Result<QueryTicket, SkyupError> {
         validate_request(&req, self.engine.dims())?;
         let id = self.telemetry.mint();
@@ -620,67 +576,12 @@ pub(crate) fn validate_request(req: &QueryRequest, dims: usize) -> Result<(), Sk
     }
 }
 
-/// Evaluates a query against one pinned snapshot. Public so the bench
-/// harness and the property suite can bypass the pool and drive the
-/// exact code path the workers run.
+/// Evaluates one query against one pinned snapshot: a batch of one
+/// through [`crate::execute_batch`], on the calling thread. Public so
+/// the bench harness and the property suite can bypass the pool and
+/// drive the exact code path the workers run.
 pub fn execute_query(engine: &Engine, req: &QueryRequest) -> Result<QueryResponse, SkyupError> {
-    let mut rec = QueryMetrics::new();
-    execute_query_with(engine, req, &mut rec)
-}
-
-/// [`execute_query`] recording into a caller-owned [`QueryMetrics`], so
-/// the worker can read this request's counters (cache hits/misses,
-/// dominance tests) for its trace after the answer is determined. The
-/// metrics are still absorbed into the engine-wide tally here, exactly
-/// as before.
-pub(crate) fn execute_query_with(
-    engine: &Engine,
-    req: &QueryRequest,
-    rec: &mut QueryMetrics,
-) -> Result<QueryResponse, SkyupError> {
-    validate_request(req, engine.dims())?;
-    let snap = engine.snapshot();
-    let cost_fn = req.cost.cost_fn(snap.dims());
-    let tag = req.cost.tag();
-    let cfg = UpgradeConfig::default();
-
-    let mut limits = ExecutionLimits::default();
-    if let Some(n) = req.max_products {
-        limits = limits.with_max_node_visits(n);
-    }
-    if let Some(d) = req.deadline {
-        limits = limits.with_deadline(d);
-    }
-    let mut guard = limits.start();
-
-    let mut completion = Completion::Exact;
-    let mut evaluated = 0usize;
-    let mut answers: Vec<ProductAnswer> = Vec::new();
-    for (index, t) in req.products.iter().enumerate() {
-        // One unit per product, hit or miss — see the module docs.
-        if let Err(i) = guard.visit_node() {
-            completion = Completion::Partial(i);
-            break;
-        }
-        let answer = engine.answer_product(&snap, t, &cost_fn, tag, &cfg, rec);
-        evaluated += 1;
-        answers.push(ProductAnswer {
-            index,
-            cost: answer.cost,
-            upgraded: answer.upgraded,
-        });
-    }
-    answers.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.index.cmp(&b.index)));
-    answers.truncate(req.k);
-    rec.incr(Counter::ResultsEmitted, answers.len() as u64);
-    if !completion.is_exact() {
-        rec.bump(Counter::LimitInterrupts);
-    }
-    engine.absorb_metrics(rec);
-    Ok(QueryResponse {
-        epoch: snap.epoch(),
-        completion,
-        evaluated,
-        results: answers,
-    })
+    crate::batch::execute_batch(engine, std::slice::from_ref(req), 1)
+        .pop()
+        .expect("one result per request")
 }

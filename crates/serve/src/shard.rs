@@ -33,7 +33,7 @@ use crate::proto::{
 };
 use crate::server::ServeHandle;
 use crate::CompetitorId;
-use skyup_core::{dominators_from_skyline, SkyupError};
+use skyup_core::SkyupError;
 use skyup_geom::PointStore;
 use skyup_obs::{Completion, ExecutionLimits, QueryMetrics};
 use std::sync::{Arc, Mutex};
@@ -273,9 +273,11 @@ impl ShardState {
 
     /// Answers a scatter probe: for each product (within the deadline),
     /// the local dominator skyline restricted to ADR(t) as
-    /// `(cid, coords)` pairs, ascending by cid. The label and snapshot
-    /// are pinned under the epoch lock, so the answer is consistent
-    /// with exactly one published epoch.
+    /// `(cid, coords)` pairs, ascending by cid — filtered by the
+    /// columnar kernel over the epoch's skyline view. The label and
+    /// snapshot are pinned under the epoch lock, so the answer is
+    /// consistent with exactly one published epoch. Every product must
+    /// have the engine's dimensionality.
     pub fn probe(&self, req: &ProbeRequest) -> ProbeResponse {
         let (label, snap) = {
             let e = self.epoch.lock().unwrap();
@@ -287,6 +289,8 @@ impl ShardState {
         }
         let mut guard = limits.start();
         let mut rec = QueryMetrics::new();
+        let view = snap.view();
+        let mut positions = Vec::new();
         let mut dominators = Vec::with_capacity(req.products.len());
         let mut completion = Completion::Exact;
         for t in &req.products {
@@ -294,7 +298,7 @@ impl ShardState {
                 completion = Completion::Partial(i);
                 break;
             }
-            let doms = dominators_from_skyline(snap.store(), snap.skyline(), t, &mut rec);
+            let doms = view.dominators(t, &mut positions, &mut rec);
             dominators.push(
                 doms.iter()
                     .map(|&pid| (snap.cid(pid), snap.store().point(pid).to_vec()))
@@ -331,7 +335,18 @@ impl Dispatch for ShardDispatch {
                 Ok(ack) => render_flip_ack(&ack),
                 Err(err) => render_skyup_error(&err),
             },
-            Request::LocalProbe(probe) => render_probe_response(&state.probe(&probe)),
+            Request::LocalProbe(probe) => {
+                // The kernel scans `dims` columns; a product of another
+                // width is a malformed request, not a probe.
+                let dims = state.handle.engine().dims();
+                match probe.products.iter().position(|t| t.len() != dims) {
+                    Some(i) => render_error(&format!(
+                        "product {i} has {} coordinates, expected {dims}",
+                        probe.products[i].len()
+                    )),
+                    None => render_probe_response(&state.probe(&probe)),
+                }
+            }
             Request::Add(_) | Request::Remove(_) => render_error(&format!(
                 "shard {} does not accept direct mutations; route them through the coordinator",
                 state.shard_id

@@ -10,14 +10,18 @@
 //! Per-product answering is tree-free: the skyline of a product's
 //! dominators is a linear filter of the live-set skyline
 //! ([`skyup_core::dominators_from_skyline`]), which is what makes the
-//! precomputed skyline worth carrying in every epoch.
+//! precomputed skyline worth carrying in every epoch. Queries read it
+//! through the snapshot's [`SkylineView`] (columnar copy plus
+//! per-dimension sorts), built on first use and then shared by every
+//! query of the epoch, so mutations never pay for it.
 
 use crate::CompetitorId;
 use skyup_core::cost::CostFunction;
-use skyup_core::{dominators_from_skyline, upgrade_single, UpgradeConfig};
+use skyup_core::{dominators_from_skyline, upgrade_single, SkylineView, UpgradeConfig};
 use skyup_geom::{PointId, PointStore};
 use skyup_obs::Recorder;
 use skyup_rtree::RTree;
+use std::sync::OnceLock;
 
 /// One fully evaluated per-product answer, expressed without
 /// [`PointId`]s so it stays valid across index rebuilds (which compact
@@ -45,6 +49,8 @@ pub struct Snapshot {
     pub(crate) skyline: Vec<PointId>,
     pub(crate) cid_of: Vec<CompetitorId>,
     pub(crate) live_count: usize,
+    /// The skyline's view, built by the first query of the epoch.
+    pub(crate) view: OnceLock<SkylineView>,
 }
 
 impl Snapshot {
@@ -66,6 +72,13 @@ impl Snapshot {
     /// The id-sorted skyline of the live competitor set.
     pub fn skyline(&self) -> &[PointId] {
         &self.skyline
+    }
+
+    /// The epoch's [`SkylineView`]: built by the first caller, shared
+    /// by every later one.
+    pub fn view(&self) -> &SkylineView {
+        self.view
+            .get_or_init(|| SkylineView::new(&self.store, self.skyline.clone()))
     }
 
     /// Number of live competitors.

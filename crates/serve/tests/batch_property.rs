@@ -1,27 +1,32 @@
-//! Property suite for the batch execution pipeline.
+//! Property suite for the query path (every served query is a batch).
 //!
-//! Two anchors:
+//! Three anchors:
 //!
-//! 1. [`execute_batch`] must be a drop-in scheduler swap: for any mix
-//!    of requests (multi-product, budgeted, invalid) its per-request
-//!    responses are bit-identical to [`execute_query`]'s at every
-//!    worker count, hits and misses alike.
-//! 2. A live server with batching on — concurrent pipelined clients,
+//! 1. [`execute_batch`] and [`execute_query`] (a batch of one) against
+//!    a test-local sequential reference — [`Snapshot::answer`] per
+//!    product over the budgeted prefix, then the `(cost, index)` top-k —
+//!    for any mix of requests (multi-product, budgeted, invalid), at
+//!    every worker count, hits and misses alike.
+//! 2. A [`ServeHandle`] with no admission window and two workers, fed
+//!    by concurrent submitters, answers bit-identically to that
+//!    reference and traces every query as `query_cold` or
+//!    `query_cached`.
+//! 3. A live server with a window — concurrent pipelined clients,
 //!    interleaved mutations, deadline- and budget-cut requests landing
 //!    mid-batch — produces only responses that a cacheless
 //!    cold-recompute oracle reproduces bit-for-bit at the response's
-//!    epoch. This is the serving-layer completion of the core claim:
-//!    batching may only change *when* an answer is computed, never the
-//!    answer.
+//!    epoch. Batching may only change *when* an answer is computed,
+//!    never the answer.
 
 use skyup_core::{dominators_from_skyline, upgrade_single, UpgradeConfig};
 use skyup_data::rng::Rng;
 use skyup_data::synthetic::{generate, Distribution, SyntheticConfig};
 use skyup_geom::{PointId, PointStore};
+use skyup_obs::json::Json;
 use skyup_obs::{Completion, Counter, Interrupt, NullRecorder};
 use skyup_serve::{
-    execute_batch, execute_query, CompetitorId, CostSpec, Engine, EngineConfig, QueryRequest,
-    QueryResponse, ServeConfig, ServeHandle,
+    execute_batch, execute_query, CompetitorId, CostSpec, Engine, EngineConfig, ProductAnswer,
+    QueryRequest, QueryResponse, ServeConfig, ServeHandle,
 };
 use skyup_skyline::skyline_sfs;
 use std::collections::HashMap;
@@ -68,19 +73,62 @@ fn assert_responses_bit_identical(a: &QueryResponse, b: &QueryResponse, what: &s
     }
 }
 
-/// Anchor 1: the batch path against the per-request path, same engine
-/// state, several worker counts, mixed valid/budgeted/invalid requests,
-/// cold and cache-warm.
-#[test]
-fn execute_batch_is_bit_identical_to_execute_query() {
-    let dims = 3;
-    let mut rng = Rng::seed_from_u64(0xba7c4);
-    // Anti-correlated competitors: a large skyline, so the batch
-    // pipeline's dominator memo and hoisted sorts actually engage.
-    let competitors = generate(
+/// The sequential reference: validate like the server, charge one
+/// budget unit per product, answer each product of the prefix with
+/// [`skyup_serve::Snapshot::answer`] (the scalar skyline filter and
+/// Algorithm 1), sort by `(cost, index)` and keep `k`.
+fn sequential_reference(engine: &Engine, req: &QueryRequest) -> Option<QueryResponse> {
+    let snap = engine.snapshot();
+    let dims = snap.dims();
+    if req.k == 0 || req.products.iter().any(|t| t.len() != dims) {
+        return None;
+    }
+    let budget = req.max_products.map_or(usize::MAX, |n| n as usize);
+    let evaluated = req.products.len().min(budget);
+    let cost_fn = req.cost.cost_fn(dims);
+    let mut results: Vec<ProductAnswer> = req.products[..evaluated]
+        .iter()
+        .enumerate()
+        .map(|(index, t)| {
+            let a = snap.answer(t, &cost_fn, &UpgradeConfig::default(), &mut NullRecorder);
+            ProductAnswer {
+                index,
+                cost: a.cost,
+                upgraded: a.upgraded,
+            }
+        })
+        .collect();
+    results.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.index.cmp(&b.index)));
+    results.truncate(req.k);
+    Some(QueryResponse {
+        epoch: snap.epoch(),
+        completion: if evaluated == req.products.len() {
+            Completion::Exact
+        } else {
+            Completion::Partial(Interrupt::NodeVisitBudget)
+        },
+        evaluated,
+        results,
+    })
+}
+
+fn anti_correlated_competitors(dims: usize) -> PointStore {
+    // A large skyline, so the dominator memo and the view's hoisted
+    // sorts actually engage.
+    generate(
         800,
         &SyntheticConfig::unit(dims, Distribution::AntiCorrelated, 11),
-    );
+    )
+}
+
+/// Anchor 1: the batch path and the batch of one against the
+/// sequential reference, same engine state, several worker counts,
+/// mixed valid/budgeted/invalid requests, cold and cache-warm.
+#[test]
+fn execute_batch_is_bit_identical_to_the_sequential_reference() {
+    let dims = 3;
+    let mut rng = Rng::seed_from_u64(0xba7c4);
+    let competitors = anti_correlated_competitors(dims);
 
     let mut reqs: Vec<QueryRequest> = (0..96).map(|_| random_request(&mut rng, dims)).collect();
     // Sprinkle invalid requests: each must fail in its own slot without
@@ -88,14 +136,20 @@ fn execute_batch_is_bit_identical_to_execute_query() {
     reqs[17].products[0].push(0.5); // wrong dimensionality
     reqs[53].k = 0;
 
-    // The per-request expectation, computed on a pristine engine.
-    let oracle_engine = Engine::with_competitors(competitors.clone(), EngineConfig::default());
-    let expected: Vec<Result<QueryResponse, String>> = reqs
+    let reference_engine = Engine::with_competitors(competitors.clone(), EngineConfig::default());
+    let expected: Vec<Option<QueryResponse>> = reqs
         .iter()
-        .map(|r| execute_query(&oracle_engine, r).map_err(|e| e.to_string()))
+        .map(|r| sequential_reference(&reference_engine, r))
         .collect();
 
-    for threads in [1usize, 2, 5] {
+    let check = |what: &str, want: &Option<QueryResponse>, have: &Result<QueryResponse, _>| match (
+        want, have,
+    ) {
+        (Some(want), Ok(have)) => assert_responses_bit_identical(want, have, what),
+        (None, Err(_)) => {}
+        (want, have) => panic!("{what}: expected {want:?}, got {have:?}"),
+    };
+    for threads in [1usize, 2, 4] {
         // Fresh engine per worker count so each run starts from the same
         // cold cache; a second pass then re-runs over the warm cache.
         let engine = Engine::with_competitors(competitors.clone(), EngineConfig::default());
@@ -105,12 +159,11 @@ fn execute_batch_is_bit_identical_to_execute_query() {
                 assert_eq!(got.len(), chunk.len());
                 for (i, result) in got.iter().enumerate() {
                     let slot = chunk_idx * 13 + i;
-                    let what = format!("threads={threads} {pass} slot={slot}");
-                    match (&expected[slot], result) {
-                        (Ok(want), Ok(have)) => assert_responses_bit_identical(want, have, &what),
-                        (Err(_), Err(_)) => {}
-                        (want, have) => panic!("{what}: expected {want:?}, got {have:?}"),
-                    }
+                    check(
+                        &format!("threads={threads} {pass} slot={slot}"),
+                        &expected[slot],
+                        result,
+                    );
                 }
             }
         }
@@ -119,6 +172,100 @@ fn execute_batch_is_bit_identical_to_execute_query() {
             "warm pass never hit the cache"
         );
     }
+    // The batch of one, on a cold engine and then over its own fills.
+    let engine = Engine::with_competitors(competitors, EngineConfig::default());
+    for pass in ["cold", "warm"] {
+        for (slot, req) in reqs.iter().enumerate() {
+            let what = format!("execute_query {pass} slot={slot}");
+            check(&what, &expected[slot], &execute_query(&engine, req));
+        }
+    }
+}
+
+/// Anchor 2: the pool itself at window 0. Two workers drain the queue
+/// that four concurrent submitters keep full, so batches of one and
+/// greedily drained batches both occur; every answer must match the
+/// sequential reference, and every query is traced as cold or cached.
+#[test]
+fn window_zero_pool_matches_the_sequential_reference() {
+    const SUBMITTERS: usize = 4;
+    const QUERIES_PER_SUBMITTER: usize = 150;
+    let dims = 3;
+    let competitors = anti_correlated_competitors(dims);
+    let reference_engine = Engine::with_competitors(competitors.clone(), EngineConfig::default());
+    let engine = Arc::new(Engine::with_competitors(
+        competitors,
+        EngineConfig::default(),
+    ));
+    let handle = ServeHandle::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            threads: 2,
+            queue_cap: 1024,
+            batch_window_us: 0,
+            ..ServeConfig::default()
+        },
+    );
+
+    let submitters: Vec<_> = (0..SUBMITTERS)
+        .map(|c| {
+            let handle = handle.clone();
+            let mut rng = Rng::seed_from_u64(0x5eed + c as u64);
+            // A small pool, so later queries repeat earlier products and
+            // hit the cache.
+            let pool: Vec<Vec<f64>> = (0..24)
+                .map(|_| random_point(&mut rng, dims, 0.2, 1.2))
+                .collect();
+            std::thread::spawn(move || {
+                let mut tickets = Vec::with_capacity(QUERIES_PER_SUBMITTER);
+                for _ in 0..QUERIES_PER_SUBMITTER {
+                    let mut req = random_request(&mut rng, dims);
+                    req.products = (0..req.products.len())
+                        .map(|_| pool[rng.range_usize(pool.len())].clone())
+                        .collect();
+                    let ticket = handle.query_async(req.clone()).expect("valid query");
+                    tickets.push((req, ticket));
+                }
+                tickets
+                    .into_iter()
+                    .map(|(req, ticket)| (req, ticket.wait().expect("valid query")))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let responses: Vec<(QueryRequest, QueryResponse)> = submitters
+        .into_iter()
+        .flat_map(|s| s.join().expect("submitter thread"))
+        .collect();
+    handle.shutdown();
+
+    for (i, (req, resp)) in responses.iter().enumerate() {
+        let want = sequential_reference(&reference_engine, req).expect("valid query");
+        assert_responses_bit_identical(&want, resp, &format!("response {i}"));
+    }
+
+    let metrics = handle.telemetry().metrics_json(0);
+    let classes = metrics.get("classes").expect("classes object");
+    let count = |class: &str| {
+        classes
+            .get(class)
+            .and_then(|c| c.get("cumulative"))
+            .and_then(|c| c.get("count"))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("class {class} missing"))
+    };
+    let (cold, cached) = (count("query_cold"), count("query_cached"));
+    assert_eq!(
+        cold + cached,
+        (SUBMITTERS * QUERIES_PER_SUBMITTER) as u64,
+        "every query must be traced as query_cold or query_cached"
+    );
+    assert_eq!(
+        handle.telemetry().recorded(),
+        cold + cached,
+        "no query may be traced under another class"
+    );
+    assert!(cold > 0 && cached > 0, "cold {cold}, cached {cached}");
 }
 
 /// The live set at one epoch, in insertion order — which is the order
@@ -170,7 +317,7 @@ impl OracleCtx {
     }
 }
 
-/// Anchor 2: the 10k-op interleaving. One mutator publishes epochs and
+/// Anchor 3: the 10k-op interleaving. One mutator publishes epochs and
 /// journals each epoch's live set; three pipelined clients push queries
 /// through a batching [`ServeHandle`] — some under product budgets,
 /// some with already-expired or microsecond deadlines that cut inside a

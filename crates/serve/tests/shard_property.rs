@@ -420,3 +420,36 @@ fn stage_failure_aborts_cleanly_and_epoch_is_reused() {
     );
     shutdown(&states);
 }
+
+/// A `local_probe` line arrives from outside the process: a product of
+/// the wrong width is answered with an error naming it, not scanned by
+/// the dominance kernel, and the shard keeps answering well-formed
+/// probes.
+#[test]
+fn local_probe_of_the_wrong_width_is_an_error() {
+    use skyup_serve::proto::Request;
+    use skyup_serve::{Dispatch, ShardDispatch};
+    let dims = 3;
+    let (_, states) = make_topology(&seed_store(200, dims), 1);
+    let dispatch = ShardDispatch(Arc::clone(&states[0]));
+    let probe = |products: Vec<Vec<f64>>| {
+        dispatch.dispatch(Request::LocalProbe(ProbeRequest {
+            products,
+            deadline: None,
+        }))
+    };
+    for bad in [vec![0.5, 0.5], vec![0.5; dims + 1]] {
+        let width = bad.len();
+        let line = probe(vec![vec![0.9; dims], bad]);
+        assert!(line.contains("\"ok\":false"), "{line}");
+        assert!(
+            line.contains(&format!(
+                "product 1 has {width} coordinates, expected {dims}"
+            )),
+            "{line}"
+        );
+    }
+    let line = probe(vec![vec![0.9; dims]]);
+    assert!(line.contains("\"ok\":true"), "{line}");
+    shutdown(&states);
+}

@@ -156,8 +156,7 @@ step "kernel bench smoke (tiny scale, self-asserting)" \
 # reports at the committed scale and gates wall-clock (one-sided, 25%
 # tolerance) plus the exact
 # machine-independent invariants: bit-identity, cache/batch counters,
-# the 1.5x batched-speedup floor, and the telemetry accounting on the
-# serve report (trace count == requests served, histogram bucket
+# and the telemetry accounting on the serve report (trace count == requests served, histogram bucket
 # conservation, exact per-class trace counts). Set
 # SKYUP_CI_SKIP_BENCH_GATE=1 to skip on hardware too noisy for timing
 # checks.

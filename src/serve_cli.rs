@@ -38,12 +38,14 @@ pub const SERVE_USAGE: &str = "\
 serve subcommands:
   skyup serve (--competitors <file> | --warm-start <snap>) [options]
     --port <n>             TCP port on 127.0.0.1 (default 0 = ephemeral)
-    --threads <n>          query worker threads (default 2); with
-                           batching on, shard workers per batch
+    --threads <n>          query workers, each answering batches of
+                           queued requests; also the executor width
+                           inside a batch (default 2)
     --queue-cap <n>        bounded request queue capacity (default 64)
-    --batch-window-us <n>  batch admission window in microseconds
-                           (default 0 = per-request execution)
-    --max-batch <n>        most requests coalesced per batch (default 32)
+    --batch-window-us <n>  how long a worker holding a lone request
+                           waits for companions, in microseconds
+                           (default 0 = no wait)
+    --max-batch <n>        most requests answered per batch (default 32)
     --slow-ms <n>          slow-query log threshold in milliseconds
                            (default 100; 0 keeps only shed/partial)
     --trace-buffer <n>     flight-recorder depth in traces (default 256)
@@ -102,6 +104,15 @@ fn value(args: &[String], i: usize, flag: &str) -> Result<String, String> {
     args.get(i + 1)
         .cloned()
         .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// A count flag's value, which must be at least 1.
+fn positive(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
+    match value(args, i, flag)?.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
 }
 
 fn parse_point(spec: &str) -> Result<Vec<f64>, String> {
@@ -200,15 +211,11 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
                 i += 2;
             }
             "--threads" => {
-                cfg.threads = value(args, i, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                cfg.threads = positive(args, i, "--threads")?;
                 i += 2;
             }
             "--queue-cap" => {
-                cfg.queue_cap = value(args, i, "--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
+                cfg.queue_cap = positive(args, i, "--queue-cap")?;
                 i += 2;
             }
             "--batch-window-us" => {
@@ -218,9 +225,7 @@ pub fn run_serve(args: &[String]) -> Result<(), String> {
                 i += 2;
             }
             "--max-batch" => {
-                cfg.max_batch = value(args, i, "--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?;
+                cfg.max_batch = positive(args, i, "--max-batch")?;
                 i += 2;
             }
             "--slow-ms" => {

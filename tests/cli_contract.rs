@@ -122,6 +122,30 @@ fn bad_arguments_exit_one() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--max-node-visits"));
 }
 
+/// `skyup serve` rejects zero sizes for its pool, queue and batches
+/// with a usage error naming the flag, before it loads anything or
+/// binds a port.
+#[test]
+fn serve_zero_sizes_exit_one_naming_the_flag() {
+    let (comp, _) = fixture("serve-zero");
+    for flag in ["--threads", "--queue-cap", "--max-batch"] {
+        let out = bin()
+            .arg("serve")
+            .arg("--competitors")
+            .arg(&comp)
+            .args([flag, "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} 0 must not start a server");
+    }
+}
+
 #[test]
 fn unreadable_input_exits_one() {
     let missing = std::env::temp_dir().join("skyup-cli-contract-nope/does-not-exist.csv");

@@ -255,7 +255,7 @@ fn probe_topk_counter_contract() {
 /// answers is timing-dependent above one thread.
 #[test]
 fn batch_kernel_block_conservation() {
-    use skyup::core::{run_probe_batch, BatchItem};
+    use skyup::core::{run_probe_batch, BatchItem, SkylineView};
     use skyup::geom::DOM_BLOCK;
     use skyup::obs::ExecutionLimits;
     use skyup::skyline::skyline_bnl;
@@ -276,8 +276,9 @@ fn batch_kernel_block_conservation() {
     );
     let ids: Vec<_> = p.ids().collect();
     let mut sky = skyline_bnl(&p, &ids);
-    sky.sort(); // run_probe_batch requires an id-sorted skyline
+    sky.sort(); // a skyline view requires an id-sorted skyline
     let sky_blocks = sky.len().div_ceil(DOM_BLOCK) as u64;
+    let view = SkylineView::new(&p, sky.clone());
     let cost_fn = SumCost::reciprocal(3, 1e-2);
     let cfg = UpgradeConfig::default();
     let items: Vec<BatchItem> = t
@@ -294,7 +295,7 @@ fn batch_kernel_block_conservation() {
         let mut m = QueryMetrics::new();
         let out = run_probe_batch(
             &p,
-            &sky,
+            &view,
             &items,
             std::slice::from_ref(&cost_fn),
             &guards,

@@ -146,14 +146,18 @@ fn serve_answers_concurrent_clients_with_cache_hits() {
 }
 
 /// Batching is a scheduler choice, not a protocol change: the same
-/// client workload against a per-request server and a batched server
-/// must produce byte-identical response lines — while the batched
-/// server also survives hostile input (an oversized line, a client that
+/// client workload against a server that answers every request alone
+/// (`--max-batch 1`) and a coalescing server (a 200 µs window) must
+/// produce byte-identical response lines — while the coalescing server
+/// also survives hostile input (an oversized line, a client that
 /// vanishes mid-request) and reports batch counters in its stats.
 #[test]
 fn batched_server_matches_per_request_and_survives_hostile_lines() {
     let comp = fixture("batched");
-    let (mut plain, plain_addr) = spawn_server(&comp, &["--threads", "2", "--queue-cap", "32"]);
+    let (mut plain, plain_addr) = spawn_server(
+        &comp,
+        &["--threads", "2", "--queue-cap", "32", "--max-batch", "1"],
+    );
     let (mut batched, batched_addr) = spawn_server(
         &comp,
         &[
@@ -169,8 +173,8 @@ fn batched_server_matches_per_request_and_survives_hostile_lines() {
     );
 
     // The same deterministic workload against both servers: four
-    // concurrent connections (the batched dispatcher needs concurrent
-    // arrivals to coalesce), each a fixed per-client query sequence.
+    // concurrent connections (a window only coalesces concurrent
+    // arrivals), each a fixed per-client query sequence.
     // Every response is a pure function of the static snapshot, so the
     // per-client response streams must match byte for byte.
     let run_clients = |addr: &str| -> Vec<Vec<String>> {
@@ -203,7 +207,7 @@ fn batched_server_matches_per_request_and_survives_hostile_lines() {
     let batched_lines = run_clients(&batched_addr);
     assert_eq!(
         plain_lines, batched_lines,
-        "batched responses must be byte-identical to per-request responses"
+        "coalesced responses must be byte-identical to one-request batches"
     );
 
     // Hostile input against the live batched server. An oversized line
@@ -350,7 +354,6 @@ fn metrics_and_trace_verbs_account_for_every_request() {
     for class in [
         "query_cached",
         "query_cold",
-        "query_batched",
         "query_shed",
         "mutation",
         "stats",
