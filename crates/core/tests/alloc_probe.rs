@@ -22,6 +22,9 @@ static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees carry over; the counter has no
+// bearing on the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);

@@ -373,9 +373,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Consume one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
+                    // SAFETY: `bytes` comes from a `&str`, and `pos` only
+                    // ever advances past ASCII bytes or whole scalars, so
+                    // `rest` starts on a char boundary and is valid UTF-8.
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
                     let c = s.chars().next().unwrap();
                     out.push(c);

@@ -71,8 +71,9 @@ const FLIP_ATTEMPTS: u32 = 3;
 /// render and send its prefix, so the grace is one more deadline, but
 /// never less than this. The floor covers the reply-leg stall: a
 /// shard's `write_line` sends the line and its newline as two writes
-/// on a Nagle socket, so the newline can wait for the coordinator's
-/// delayed ACK, up to 200 ms on Linux.
+/// on a Nagle socket, so the newline waits for the coordinator's ACK.
+/// On Linux `net::Client` acknowledges every reply at once; elsewhere,
+/// or if that `setsockopt` fails, the ACK can be delayed up to 200 ms.
 const MIN_PROBE_REPLY_GRACE: Duration = Duration::from_millis(250);
 
 /// How long a [`TcpLink`] stage or flip waits for its reply. Publishes
@@ -188,12 +189,15 @@ impl ShardLink for TcpLink {
         self.exchange(&line, timeout, parse_probe_response)
     }
 
+    /// Bounded by `PUBLISH_REPLY_TIMEOUT`, so a shard that accepts
+    /// connections but never answers reads as unreachable instead of
+    /// hanging the health report.
     fn reachable(&self) -> bool {
-        self.pool
-            .with(|c| c.request("{\"op\":\"health\"}"))
-            .is_ok_and(|resp| {
-                json::parse(&resp).is_ok_and(|doc| doc.get("ok") == Some(&Json::Bool(true)))
-            })
+        self.exchange("{\"op\":\"health\"}", Some(PUBLISH_REPLY_TIMEOUT), |resp| {
+            let doc = json::parse(resp).map_err(|e| e.to_string())?;
+            Ok(doc.get("ok") == Some(&Json::Bool(true)))
+        })
+        .unwrap_or(false)
     }
 
     fn describe(&self) -> String {
@@ -838,10 +842,11 @@ mod tests {
     fn a_short_deadline_outlasts_the_reply_leg_stall() {
         // The scripted shard's `writeln!` on a raw socket sends the
         // line and its newline as two writes, like a shard's
-        // `write_line`, so the newline can wait for a delayed ACK. A
-        // healthy shard must still count as healthy under a deadline
-        // far shorter than that stall, on every reuse of the pooled
-        // connection.
+        // `write_line`, so the newline waits for the coordinator's ACK.
+        // Linux builds acknowledge at once; where the ACK is delayed
+        // (other platforms), a healthy shard must still count as
+        // healthy under a deadline far shorter than that stall, on
+        // every reuse of the pooled connection.
         let mut seed = PointStore::new(2);
         seed.push(&[0.2, 0.4]);
         let reply = r#"{"ok": true, "epoch": 0, "completion": "exact", "evaluated": 1, "dominators": [[[0, [0.2, 0.4]]]]}"#;
@@ -888,6 +893,21 @@ mod tests {
             .unwrap();
         assert_eq!(resp.completion, Completion::Exact);
         assert_eq!(resp.results.len(), 1);
+    }
+
+    #[test]
+    fn a_wedged_shard_reads_unreachable_within_the_publish_bound() {
+        let link = TcpLink::new(&scripted_shard(None));
+        // On its own thread so a regression fails here instead of
+        // hanging the test binary.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(link.reachable());
+        });
+        let reachable = rx
+            .recv_timeout(PUBLISH_REPLY_TIMEOUT * 2)
+            .expect("a silent shard must not hold the health check past twice its bound");
+        assert!(!reachable);
     }
 
     #[test]

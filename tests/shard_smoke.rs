@@ -287,6 +287,16 @@ fn two_shards_and_a_coordinator_match_the_single_engine_oracle() {
             let hist = shard.get(verb).and_then(|h| h.get("cumulative"));
             let hist = hist.unwrap_or_else(|| panic!("{verb} missing: {metrics}"));
             assert_eq!(get_u64(hist, "count"), want, "{verb}: {metrics}");
+            // The coordinator acknowledges each reply at once, so a
+            // shard's two-write reply framing never waits out a delayed
+            // ACK (40–44 ms on Linux).
+            if cfg!(target_os = "linux") {
+                let p50 = get_u64(hist, "p50");
+                assert!(
+                    p50 < 40_000_000,
+                    "{verb} p50 {p50} ns waits for a delayed ACK: {metrics}"
+                );
+            }
         }
     }
 
