@@ -101,10 +101,6 @@ pub struct ItemAnswer {
     pub cost: f64,
     /// The upgraded coordinates achieving that cost.
     pub upgraded: Vec<f64>,
-    /// The skyline of the product's dominators, in skyline (id) order —
-    /// exactly what the answer depends on. Shared: a memo hit hands out
-    /// the same allocation it matched.
-    pub dominators: Arc<Vec<PointId>>,
     /// Whether the dominator set came from the cross-request memo
     /// (exact or containment hit) rather than a full skyline scan —
     /// per-item attribution behind the aggregate
@@ -468,7 +464,6 @@ where
                 ItemAnswer {
                     cost,
                     upgraded: upg.upgraded().to_vec(),
-                    dominators,
                     memo_hit: memo_hits > memo_hits_before,
                 },
             ));
@@ -659,7 +654,6 @@ mod tests {
                         dominators_from_skyline(&p, &sky, item.coords, &mut NullRecorder);
                     let (want_cost, want_up) =
                         upgrade_single(&p, &want_dom, item.coords, &cost, &cfg);
-                    assert_eq!(*got.dominators, want_dom, "threads={threads}");
                     assert_eq!(got.cost.to_bits(), want_cost.to_bits());
                     let gb: Vec<u64> = got.upgraded.iter().map(|v| v.to_bits()).collect();
                     let wb: Vec<u64> = want_up.iter().map(|v| v.to_bits()).collect();
@@ -708,10 +702,19 @@ mod tests {
         // Single-threaded claim order is the chain order, so items 1 and
         // 2 must both resolve through containment.
         assert_eq!(out.memo_hits, 2);
+        // A superset filter that kept a non-dominator or dropped a
+        // dominator would hand Algorithm 1 a different set; the answers
+        // must match the full scan's bit for bit.
+        let cfg = UpgradeConfig::default();
         for (item, outcome) in items.iter().zip(&out.outcomes) {
             let got = outcome.as_ref().unwrap();
             let want = dominators_from_skyline(&p, &sky, item.coords, &mut NullRecorder);
-            assert_eq!(*got.dominators, want);
+            assert!(!want.is_empty(), "every chain product has dominators");
+            let (want_cost, want_up) = upgrade_single(&p, &want, item.coords, &cost, &cfg);
+            assert_eq!(got.cost.to_bits(), want_cost.to_bits());
+            let gb: Vec<u64> = got.upgraded.iter().map(|v| v.to_bits()).collect();
+            let wb: Vec<u64> = want_up.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(gb, wb);
         }
     }
 
@@ -940,6 +943,5 @@ mod tests {
         let a = out.outcomes[0].as_ref().unwrap();
         assert_eq!(a.cost, 0.0);
         assert_eq!(a.upgraded, t);
-        assert!(a.dominators.is_empty());
     }
 }

@@ -27,7 +27,7 @@ use skyup_obs::{timed, Completion, Counter, ExecutionLimits, Phase, Recorder};
 use skyup_skyline::skyline_sfs_rec;
 
 /// Products handed to [`run_probe_batch`] per call. A chunk's answers
-/// (upgraded coordinates and dominator lists) are folded and dropped
+/// (their upgraded coordinates) are folded and dropped
 /// before the next chunk runs, so the memory held for answers is
 /// bounded by this constant rather than by `|T|`.
 const CHUNK: usize = 4096;

@@ -282,7 +282,7 @@ impl DimOrders {
 ///
 /// Returns exactly the bits [`upgrade_single_into`] returns for the
 /// same `(dominators, t, cost_fn, cfg)`. Both paths feed
-/// [`sweep_dimension`] the same sequence, by induction over
+/// `sweep_dimension` the same sequence, by induction over
 /// dimensions: filtering commutes with a stable sort whenever the two
 /// sort inputs agree on the subset's relative order. They agree at
 /// `k = 0` (both start id-ordered), and each dimension's stable sort

@@ -1,8 +1,8 @@
 //! Allocation accounting for the probe executor: the allocation count
 //! of a top-k query may grow with `|T|` only by a small constant per
-//! product. The executor materializes every product's answer (its
-//! upgraded coordinates and its shared dominator list) before the
-//! top-k fold drops it, so a few events per product are expected; the
+//! product. The executor builds every product's dominator list and
+//! materializes its answer (the upgraded coordinates) before the top-k
+//! fold drops it, so a few events per product are expected; the
 //! bound catches a regression that allocates inside the per-product
 //! kernel or upgrade loops, which would cost events per dominator or
 //! per skyline point instead.

@@ -13,7 +13,7 @@
 //! * [`rng`] — the deterministic in-repo PRNG backing all of the above
 //!   (the offline environment has no `rand` crate).
 //!
-//! * [`ingest`] — real-data ingestion: CSV/NDJSON loading with schema
+//! * [`ingest`](mod@ingest) — real-data ingestion: CSV/NDJSON loading with schema
 //!   inference, per-column min/max/cardinality/null profiling,
 //!   direction flags, and normalization into the paper's
 //!   `P ⊂ [0,1]^c` / `T ⊂ (1,2]^c` frame, with line-numbered

@@ -178,7 +178,7 @@ pub(crate) fn scan_geometry(len: usize) -> (usize, u64) {
 /// coordinates occupy `cols[d * stride .. d * stride + len]` (so
 /// `stride >= len`). The scan proceeds in blocks of [`DOM_BLOCK`]
 /// points, evaluating each block's `le`/`lt` masks dims-major and
-/// branch-free ([`block_masks`]); early exit happens only at block
+/// branch-free (`block_masks`); early exit happens only at block
 /// granularity, after the masks are combined — a block containing a
 /// dominator (`le & lt != 0`) ends the scan.
 ///

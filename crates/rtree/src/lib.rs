@@ -24,7 +24,6 @@
 pub mod bulk;
 pub mod delete;
 pub mod insert;
-pub mod knn;
 pub mod node;
 pub mod persist;
 pub mod query;

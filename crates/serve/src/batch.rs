@@ -309,15 +309,11 @@ pub fn execute_batch_stats(
             .filter_map(|(item, outcome)| {
                 outcome.map(|a| {
                     let req = &reqs[valid[item.request as usize]];
-                    let key = CacheKey::new(item.coords, req.cost.tag());
-                    let used = a.dominators.iter().map(|&pid| snap.cid(pid)).collect();
                     (
-                        key,
-                        item.coords,
+                        CacheKey::new(item.coords, req.cost.tag()),
                         Answer {
                             cost: a.cost,
                             upgraded: a.upgraded,
-                            used,
                         },
                     )
                 })

@@ -2,25 +2,35 @@
 //!
 //! Completed per-product answers are memoized under `(t, cost-fn)` and
 //! survive competitor mutations *selectively* instead of being flushed
-//! wholesale on every epoch swap:
+//! wholesale on every epoch swap.
 //!
-//! * **Insert of competitor `p`** — a cached answer for product `t`
-//!   depends only on the skyline of `t`'s dominators, so it can change
-//!   only if `p` dominates `t`, i.e. `p ∈ ADR(t)`. The eviction test is
-//!   [`skyup_geom::point_in_adr`]`(p, t)`, which also covers the
-//!   boundary case `p == t` — conservative (may evict a still-valid
-//!   entry when `p` merely ties `t` on every dimension) but never keeps
-//!   a stale one.
-//! * **Delete of competitor `c`** — the answer changes only if `c` was
-//!   in the entry's dominator skyline, recorded verbatim in
-//!   [`Answer::used`]. This test is exact: removing a competitor the
-//!   answer never looked at leaves the dominator skyline untouched
-//!   (a point dominated by the removed one stays dominated by whichever
-//!   skyline member covered it).
+//! A cached answer for product `t` is a function of `t`'s dominator
+//! skyline, which is exactly `{s ∈ skyline(P) : s ≻ t}`. So one rule
+//! covers every mutation, keyed off the point the writer saw enter or
+//! leave the skyline:
+//!
+//! * **Skyline unchanged** — an insert that some skyline member
+//!   dominates, or a delete of a competitor off the skyline. No
+//!   dominator skyline changes, so nothing is evicted.
+//! * **Skyline changed by point `p`** — the insert that joined, or the
+//!   skyline member that was removed. Every point that left or entered
+//!   alongside it is dominated by `p` (members a join pushes out are
+//!   dominated by the new point; points a removal exposes were
+//!   dominated only by the removed member), so a product whose
+//!   dominator skyline changed is dominated by `p` by transitivity.
+//!   [`ResultCache::evict_dominated_by`] drops the entries whose
+//!   product lies in `ADR(p)` ([`skyup_geom::point_in_adr`]), which
+//!   also covers the boundary case `p == t`: conservative (it may evict
+//!   a still-valid entry when `p` merely ties `t` on every dimension)
+//!   but it never keeps a stale one.
 //!
 //! Keys hash the product's coordinate *bits*, so two requests must
 //! agree to the last ulp to share an entry — the right call for a
-//! bit-identity serving contract.
+//! bit-identity serving contract. The key is also the only copy of the
+//! coordinates: the ADR test reads them back from the bits. An entry
+//! thus costs a fixed number of bytes for a given dimensionality
+//! (DESIGN §12 gives the figure), so the entry-count capacity is a byte
+//! bound too.
 //!
 //! Epoch discipline: the cache belongs to the engine's shared state and
 //! is mutated under the same lock that swaps the snapshot. A worker
@@ -30,8 +40,6 @@
 //! the intervening mutations affected its product.
 
 use crate::snapshot::Answer;
-use crate::CompetitorId;
-use skyup_geom::point_in_adr;
 use std::collections::HashMap;
 
 /// Identifies the cost function a cached answer was computed under.
@@ -59,18 +67,21 @@ impl CacheKey {
             cost,
         }
     }
-}
 
-struct Entry {
-    /// The product's coordinates, kept plainly for the ADR test.
-    t: Vec<f64>,
-    answer: Answer,
+    /// Whether `p` lies in the product's `ADR`, i.e. `p[i] <= t[i]` on
+    /// every dimension — [`skyup_geom::point_in_adr`] read off the bits.
+    fn product_in_adr_of(&self, p: &[f64]) -> bool {
+        debug_assert_eq!(p.len(), self.t_bits.len());
+        p.iter()
+            .zip(&self.t_bits)
+            .all(|(&x, &y)| x <= f64::from_bits(y))
+    }
 }
 
 /// The dominance-aware result cache. Not internally synchronized: the
 /// engine guards it with the shared-state lock.
 pub struct ResultCache {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<CacheKey, Answer>,
     capacity: usize,
 }
 
@@ -97,7 +108,7 @@ impl ResultCache {
 
     /// Looks up a completed answer.
     pub fn get(&self, key: &CacheKey) -> Option<&Answer> {
-        self.entries.get(key).map(|e| &e.answer)
+        self.entries.get(key)
     }
 
     /// Admits an answer computed against epoch `computed_at`, provided
@@ -106,7 +117,6 @@ impl ResultCache {
     pub fn insert_if_current(
         &mut self,
         key: CacheKey,
-        t: &[f64],
         answer: Answer,
         computed_at: u64,
         current: u64,
@@ -119,29 +129,15 @@ impl ResultCache {
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             return false;
         }
-        self.entries.insert(
-            key,
-            Entry {
-                t: t.to_vec(),
-                answer,
-            },
-        );
+        self.entries.insert(key, answer);
         true
     }
 
-    /// Insert-invalidation: evicts every entry whose product the new
-    /// competitor `p` could dominate. Returns the eviction count.
+    /// Evicts every entry whose product the point `p` that entered or
+    /// left the skyline could dominate. Returns the eviction count.
     pub fn evict_dominated_by(&mut self, p: &[f64]) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|_, e| !point_in_adr(p, &e.t));
-        (before - self.entries.len()) as u64
-    }
-
-    /// Delete-invalidation: evicts every entry whose dominator skyline
-    /// used competitor `cid`. Returns the eviction count.
-    pub fn evict_using(&mut self, cid: CompetitorId) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| !e.answer.used.contains(&cid));
+        self.entries.retain(|k, _| !k.product_in_adr_of(p));
         (before - self.entries.len()) as u64
     }
 
@@ -157,70 +153,87 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn answer(used: &[CompetitorId]) -> Answer {
+    fn answer(cost: f64) -> Answer {
         Answer {
-            cost: 1.0,
+            cost,
             upgraded: vec![0.5, 0.5],
-            used: used.to_vec(),
         }
     }
 
-    fn put(cache: &mut ResultCache, t: &[f64], used: &[CompetitorId]) {
+    fn put(cache: &mut ResultCache, t: &[f64]) {
         let key = CacheKey::new(t, CostTag::Reciprocal(0));
-        assert!(cache.insert_if_current(key, t, answer(used), 3, 3));
+        assert!(cache.insert_if_current(key, answer(1.0), 3, 3));
+    }
+
+    fn cached(cache: &ResultCache, t: &[f64]) -> bool {
+        cache
+            .get(&CacheKey::new(t, CostTag::Reciprocal(0)))
+            .is_some()
     }
 
     #[test]
     fn stale_epoch_insert_dropped() {
         let mut c = ResultCache::new(16);
         let key = CacheKey::new(&[1.0, 1.0], CostTag::Reciprocal(0));
-        assert!(!c.insert_if_current(key, &[1.0, 1.0], answer(&[]), 2, 3));
+        assert!(!c.insert_if_current(key, answer(1.0), 2, 3));
         assert!(c.is_empty());
     }
 
     #[test]
-    fn insert_evicts_only_dominated_products() {
+    fn evicts_only_products_in_the_changed_points_adr() {
         let mut c = ResultCache::new(16);
-        put(&mut c, &[0.9, 0.9], &[1]);
-        put(&mut c, &[0.2, 0.9], &[2]);
-        put(&mut c, &[0.9, 0.2], &[3]);
-        // New competitor dominates only the first product.
+        put(&mut c, &[0.9, 0.9]);
+        put(&mut c, &[0.2, 0.9]);
+        put(&mut c, &[0.9, 0.2]);
+        // The changed point dominates only the first product.
         assert_eq!(c.evict_dominated_by(&[0.5, 0.5]), 1);
         assert_eq!(c.len(), 2);
-        assert!(c
-            .get(&CacheKey::new(&[0.9, 0.9], CostTag::Reciprocal(0)))
-            .is_none());
+        assert!(!cached(&c, &[0.9, 0.9]));
     }
 
     #[test]
-    fn delete_evicts_only_entries_using_the_cid() {
+    fn eviction_reads_coordinates_back_from_the_key_bits() {
         let mut c = ResultCache::new(16);
-        put(&mut c, &[0.9, 0.9], &[1, 2]);
-        put(&mut c, &[0.8, 0.8], &[2]);
-        put(&mut c, &[0.7, 0.7], &[3]);
-        assert_eq!(c.evict_using(2), 2);
+        put(&mut c, &[0.9, 0.9]);
+        put(&mut c, &[0.8, 0.8]);
+        put(&mut c, &[0.7, 0.7]);
+        // A removed member at (0.75, 0.75) dominates the two products
+        // above it; the tie on one dimension still counts (boundary of
+        // the ADR), while (0.7, 0.7) lies outside.
+        assert_eq!(c.evict_dominated_by(&[0.75, 0.8]), 2);
         assert_eq!(c.len(), 1);
-        assert!(c
-            .get(&CacheKey::new(&[0.7, 0.7], CostTag::Reciprocal(0)))
-            .is_some());
+        assert!(cached(&c, &[0.7, 0.7]));
+        // Signed zeros differ in bits but compare by value.
+        put(&mut c, &[-0.0, 1.5]);
+        assert_eq!(c.evict_dominated_by(&[0.0, 1.0]), 1);
+        assert!(cached(&c, &[0.7, 0.7]));
     }
 
     #[test]
     fn capacity_caps_admission() {
         let mut c = ResultCache::new(1);
-        put(&mut c, &[0.9, 0.9], &[1]);
+        put(&mut c, &[0.9, 0.9]);
         let key = CacheKey::new(&[0.8, 0.8], CostTag::Reciprocal(0));
-        assert!(!c.insert_if_current(key, &[0.8, 0.8], answer(&[]), 3, 3));
+        assert!(!c.insert_if_current(key, answer(1.0), 3, 3));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn full_cache_still_overwrites_existing_key() {
         let mut c = ResultCache::new(1);
-        put(&mut c, &[0.9, 0.9], &[1]);
+        put(&mut c, &[0.9, 0.9]);
         let key = CacheKey::new(&[0.9, 0.9], CostTag::Reciprocal(0));
-        assert!(c.insert_if_current(key.clone(), &[0.9, 0.9], answer(&[2]), 3, 3));
+        assert!(c.insert_if_current(key.clone(), answer(2.0), 3, 3));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&key).unwrap().used, vec![2]);
+        assert_eq!(c.get(&key).unwrap().cost, 2.0);
+    }
+
+    /// The per-entry figure DESIGN §12 states: the map slot holds the
+    /// key and the answer inline (plus one control byte), and the two
+    /// coordinate vectors add `8 · dims` bytes of heap each.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn entry_is_72_bytes_inline() {
+        assert_eq!(std::mem::size_of::<(CacheKey, Answer)>(), 72);
     }
 }

@@ -113,11 +113,6 @@ struct Shared {
     cache: ResultCache,
 }
 
-enum Evict {
-    Inserted(Vec<f64>),
-    Removed(CompetitorId),
-}
-
 /// A point-in-time view of the engine for `stats` requests.
 #[derive(Clone, Debug)]
 pub struct EngineStats {
@@ -511,7 +506,7 @@ impl Engine {
         let mut sh = self.shared.lock().unwrap();
         let current = sh.snapshot.epoch;
         sh.cache
-            .insert_if_current(key, t, answer.clone(), snap.epoch, current);
+            .insert_if_current(key, answer.clone(), snap.epoch, current);
         answer
     }
 
@@ -529,15 +524,15 @@ impl Engine {
     /// acquisition. Each entry is epoch-gated exactly like
     /// [`Engine::answer_product`]'s fill: it only lands while
     /// `computed_at` is still the published epoch.
-    pub(crate) fn fill_cache<'a, I>(&self, entries: I, computed_at: u64)
+    pub(crate) fn fill_cache<I>(&self, entries: I, computed_at: u64)
     where
-        I: IntoIterator<Item = (CacheKey, &'a [f64], Answer)>,
+        I: IntoIterator<Item = (CacheKey, Answer)>,
     {
         let mut sh = self.shared.lock().unwrap();
         let current = sh.snapshot.epoch;
-        for (key, t, answer) in entries {
+        for (key, answer) in entries {
             sh.cache
-                .insert_if_current(key, t, answer, computed_at, current);
+                .insert_if_current(key, answer, computed_at, current);
         }
     }
 
@@ -583,15 +578,17 @@ impl Engine {
             }
         }
         self.log_mutation(w.epoch + 1, &m)?;
-        let (evict, cid, removed) = match m {
+        // `changed` is the point that entered or left the skyline, if
+        // any: the one fact cache invalidation needs (see `cache`).
+        let (changed, cid, removed) = match m {
             Mutation::AddCompetitor(coords) => {
                 let cid = w.next_cid;
-                let evict = Self::insert_competitor(w, cid, coords);
-                (evict, Some(cid), false)
+                let changed = Self::insert_competitor(w, cid, coords);
+                (changed, Some(cid), false)
             }
             Mutation::AddCompetitorWithCid(cid, coords) => {
-                let evict = Self::insert_competitor(w, cid, coords);
-                (evict, Some(cid), false)
+                let changed = Self::insert_competitor(w, cid, coords);
+                (changed, Some(cid), false)
             }
             Mutation::RemoveCompetitor(cid) => {
                 let pid = w.pid_of.remove(&cid).expect("validated live cid");
@@ -599,13 +596,13 @@ impl Engine {
                 w.live[pid.index()] = false;
                 w.live_count -= 1;
                 w.dead += 1;
-                Self::skyline_remove(w, pid);
-                (Evict::Removed(cid), None, true)
+                let changed = Self::skyline_remove(w, pid).then(|| w.store.point(pid).to_vec());
+                (changed, None, true)
             }
         };
         let rebuilt = self.maybe_rebuild(w);
         w.epoch += 1;
-        let evicted = self.publish(w, evict);
+        let evicted = self.publish(w, changed);
         self.maybe_checkpoint(w);
         Ok(MutationOutcome {
             epoch: w.epoch,
@@ -633,8 +630,9 @@ impl Engine {
 
     /// Inserts a validated competitor under `cid` (>= `next_cid`) and
     /// advances the id counter past it, preserving the strictly
-    /// increasing cid-per-row order.
-    fn insert_competitor(w: &mut Writer, cid: CompetitorId, coords: Vec<f64>) -> Evict {
+    /// increasing cid-per-row order. Returns the coordinates when the
+    /// new competitor joined the skyline.
+    fn insert_competitor(w: &mut Writer, cid: CompetitorId, coords: Vec<f64>) -> Option<Vec<f64>> {
         w.next_cid = cid + 1;
         let pid = w.store.push(&coords);
         w.tree.insert(&w.store, pid);
@@ -642,8 +640,7 @@ impl Engine {
         w.cid_of.push(cid);
         w.pid_of.insert(cid, pid);
         w.live_count += 1;
-        Self::skyline_insert(w, pid, &coords);
-        Evict::Inserted(coords)
+        Self::skyline_insert(w, pid, &coords).then_some(coords)
     }
 
     /// Appends the record for a validated, non-no-op mutation; a no-op
@@ -696,24 +693,27 @@ impl Engine {
     /// suffices: any dominator of `coords` is itself on the skyline or
     /// dominated by a skyline point, which then dominates `coords` by
     /// transitivity); joining, it evicts the members it dominates.
-    fn skyline_insert(w: &mut Writer, pid: PointId, coords: &[f64]) {
+    /// Returns whether the skyline changed, i.e. whether it joined.
+    fn skyline_insert(w: &mut Writer, pid: PointId, coords: &[f64]) -> bool {
         if dominated_by_any(&w.store, &w.skyline, coords) {
-            return;
+            return false;
         }
         let store = &w.store;
         w.skyline.retain(|&s| !dominates(coords, store.point(s)));
         let pos = w.skyline.binary_search(&pid).unwrap_err();
         w.skyline.insert(pos, pid);
+        true
     }
 
     /// Incremental skyline maintenance for a delete. Removing a
     /// non-skyline point changes nothing (whatever dominated it still
     /// does). Removing a skyline point exposes exactly the live points
     /// inside its dominance region that no surviving skyline point
-    /// dominates; their own skyline is merged in.
-    fn skyline_remove(w: &mut Writer, pid: PointId) {
+    /// dominates; their own skyline is merged in. Returns whether the
+    /// skyline changed, i.e. whether `pid` was a member.
+    fn skyline_remove(w: &mut Writer, pid: PointId) -> bool {
         let Ok(pos) = w.skyline.binary_search(&pid) else {
-            return;
+            return false;
         };
         w.skyline.remove(pos);
         let lo = w.store.point(pid).to_vec();
@@ -740,6 +740,7 @@ impl Engine {
             w.skyline.windows(2).all(|p| p[0] != p[1]),
             "skyline must stay duplicate-free"
         );
+        true
     }
 
     /// The degradation heuristic: compact when tombstones pile up or
@@ -804,16 +805,15 @@ impl Engine {
     }
 
     /// Publishes the writer's state as a new epoch: build the snapshot,
-    /// then — under the shared lock — run the mutation's selective
-    /// invalidation and swap the snapshot in one indivisible step.
-    fn publish(&self, w: &Writer, evict: Evict) -> u64 {
+    /// then — under the shared lock — evict the entries whose product
+    /// the point that entered or left the skyline dominates (none when
+    /// the skyline is unchanged) and swap the snapshot in one
+    /// indivisible step.
+    fn publish(&self, w: &Writer, changed: Option<Vec<f64>>) -> u64 {
         let snapshot = Arc::new(Self::snapshot_of(w));
         let evicted = {
             let mut sh = self.shared.lock().unwrap();
-            let evicted = match evict {
-                Evict::Inserted(coords) => sh.cache.evict_dominated_by(&coords),
-                Evict::Removed(cid) => sh.cache.evict_using(cid),
-            };
+            let evicted = changed.map_or(0, |p| sh.cache.evict_dominated_by(&p));
             sh.snapshot = snapshot;
             evicted
         };

@@ -13,9 +13,9 @@
 //!   STR rebuilds with store compaction; stable competitor ids survive
 //!   the renumbering.
 //! * [`cache`] — the dominance-aware result cache: completed
-//!   per-product answers invalidated *selectively* on mutation (ADR
-//!   test for inserts, used-dominator test for deletes) instead of
-//!   flushed per epoch.
+//!   per-product answers invalidated *selectively* on mutation (only
+//!   when the skyline changes, and then only the products the changed
+//!   point dominates) instead of flushed per epoch.
 //! * [`server`] / [`net`] / [`proto`] — the front-end: a fixed worker
 //!   pool draining a bounded queue into batches, per-request deadlines
 //!   and budgets mapped onto [`skyup_obs::ExecutionLimits`], overload

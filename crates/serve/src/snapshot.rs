@@ -23,19 +23,16 @@ use skyup_obs::Recorder;
 use skyup_rtree::RTree;
 use std::sync::OnceLock;
 
-/// One fully evaluated per-product answer, expressed without
-/// [`PointId`]s so it stays valid across index rebuilds (which compact
-/// the store and renumber points, but never change competitor ids).
+/// One fully evaluated per-product answer. It names no [`PointId`]s
+/// or competitor ids, so it stays valid across index rebuilds (which
+/// compact the store and renumber points); the result cache decides
+/// when it goes stale from the product's coordinates alone.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Answer {
     /// Minimal upgrade cost (0.0 when already competitive).
     pub cost: f64,
     /// The upgraded coordinates achieving that cost.
     pub upgraded: Vec<f64>,
-    /// Competitor ids of the product's dominator skyline — exactly the
-    /// points the answer depends on, which is what delete invalidation
-    /// keys off.
-    pub used: Vec<CompetitorId>,
 }
 
 /// An immutable view of the competitor set at one epoch.
@@ -97,8 +94,7 @@ impl Snapshot {
     }
 
     /// Computes product `t`'s answer against this snapshot: filter the
-    /// live-set skyline down to `t`'s dominators, run Algorithm 1, and
-    /// report the dominator set as competitor ids.
+    /// live-set skyline down to `t`'s dominators and run Algorithm 1.
     pub fn answer<C: CostFunction + ?Sized, R: Recorder + ?Sized>(
         &self,
         t: &[f64],
@@ -108,11 +104,6 @@ impl Snapshot {
     ) -> Answer {
         let dominators = dominators_from_skyline(&self.store, &self.skyline, t, rec);
         let (cost, upgraded) = upgrade_single(&self.store, &dominators, t, cost_fn, cfg);
-        let used = dominators.iter().map(|&pid| self.cid(pid)).collect();
-        Answer {
-            cost,
-            upgraded,
-            used,
-        }
+        Answer { cost, upgraded }
     }
 }

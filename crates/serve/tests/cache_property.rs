@@ -13,7 +13,7 @@
 use skyup_core::cost::CostFunction;
 use skyup_core::{dominators_from_skyline, upgrade_single, UpgradeConfig};
 use skyup_data::rng::Rng;
-use skyup_geom::{PointId, PointStore};
+use skyup_geom::{point_in_adr, PointId, PointStore};
 use skyup_obs::{Completion, Counter, NullRecorder};
 use skyup_serve::{
     execute_query, CompetitorId, CostSpec, Engine, EngineConfig, Mutation, QueryRequest,
@@ -197,9 +197,9 @@ fn interleaved_mutations_match_cold_oracle() {
     assert_eq!(stats.live, live.len());
 }
 
-/// Exact eviction counts: an insert evicts precisely the entries whose
-/// product lies in the new point's ADR, a delete precisely the entries
-/// whose dominator skyline used the removed competitor. Survivors keep
+/// Exact eviction counts: a mutation that leaves the skyline unchanged
+/// evicts nothing, and one that changes it evicts precisely the entries
+/// whose product lies in the changed point's ADR. Survivors keep
 /// hitting.
 #[test]
 fn invalidation_is_selective_not_a_flush() {
@@ -237,33 +237,267 @@ fn invalidation_is_selective_not_a_flush() {
     assert_eq!(engine.stats().cached, 4);
     assert_eq!(hits(), 0);
 
-    // (0.7, 0.7) ADR-dominates only product a — and is itself dominated
-    // by (0.5, 0.5), so no cached answer actually changes.
+    // (0.7, 0.7) ADR-dominates product a, but (0.5, 0.5) dominates it,
+    // so the skyline — and with it every cached answer — is unchanged.
     let out = engine
         .apply(Mutation::AddCompetitor(vec![0.7, 0.7]))
         .unwrap();
-    assert_eq!(out.evicted, 1, "insert must evict exactly the ADR hits");
-    assert_eq!(engine.stats().cached, 3);
+    assert_eq!(out.evicted, 0, "a dominated insert must evict nothing");
+    assert_eq!(engine.stats().cached, 4);
     let before = hits();
-    for t in [&b, &c, &d] {
+    for t in [&a, &b, &c, &d] {
         query(t.as_slice());
     }
-    assert_eq!(hits(), before + 3, "survivors must still hit after insert");
-    query(&a); // re-cache a (miss)
-    assert_eq!(engine.stats().cached, 4);
+    assert_eq!(
+        hits(),
+        before + 4,
+        "every entry must still hit after insert"
+    );
 
-    // Removing (0.5, 0.5) = cid 2 invalidates a, b, c (their dominator
-    // skylines used it) but not d.
+    // Removing (0.5, 0.5) = cid 2, a skyline member, invalidates the
+    // products it dominates (a, b, c) but not d. It also exposes
+    // (0.7, 0.7), which now dominates a.
     let out = engine.apply(Mutation::RemoveCompetitor(2)).unwrap();
     assert!(out.removed);
     assert_eq!(
         out.evicted, 3,
-        "delete must evict exactly the users of the cid"
+        "delete must evict exactly the removed member's ADR hits"
     );
     assert_eq!(engine.stats().cached, 1);
     let before = hits();
     query(&d);
-    assert_eq!(hits(), before + 1, "the non-user must survive the delete");
+    assert_eq!(hits(), before + 1, "d must survive the delete");
+}
+
+/// The paper's setup: competitors in `[0, 1]^d`, products in
+/// `(1, 2]^d`, so every competitor dominates every product and each
+/// product's dominator skyline is the whole skyline. A few products
+/// inside the unit cube ride along so the ADR count is selective.
+struct PaperSetup {
+    engine: Engine,
+    live: Vec<(CompetitorId, Vec<f64>)>,
+    products: Vec<Vec<f64>>,
+    dims: usize,
+    cost: CostSpec,
+}
+
+impl PaperSetup {
+    fn new(seed: u64, n: usize, dims: usize) -> Self {
+        let mut rng = Rng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| random_point(&mut rng, dims, 0.0, 1.0))
+            .collect();
+        let engine = Engine::with_competitors(
+            PointStore::from_rows(dims, rows.iter().cloned()),
+            EngineConfig::default(),
+        );
+        let live = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (i as CompetitorId, c))
+            .collect();
+        // `range_f64` is half-open at the top; `2.0 - x` for x in
+        // [0, 1) lands in (1, 2].
+        let mut products: Vec<Vec<f64>> = (0..24)
+            .map(|_| (0..dims).map(|_| 2.0 - rng.range_f64(0.0, 1.0)).collect())
+            .collect();
+        products.extend((0..8).map(|_| random_point(&mut rng, dims, 0.3, 1.0)));
+        let setup = PaperSetup {
+            engine,
+            live,
+            products,
+            dims,
+            cost: CostSpec::Reciprocal(1e-3),
+        };
+        for t in &setup.products {
+            setup.ask(t);
+        }
+        assert_eq!(setup.engine.stats().cached, setup.products.len());
+        setup
+    }
+
+    /// Asks for one product and checks the answer bit-for-bit against
+    /// the cold oracle. Returns whether it was a cache hit.
+    fn ask(&self, t: &[f64]) -> bool {
+        let hits = self.engine.metrics().get(Counter::CacheHit);
+        let resp = execute_query(
+            &self.engine,
+            &QueryRequest {
+                products: vec![t.to_vec()],
+                k: 1,
+                cost: self.cost,
+                max_products: None,
+                deadline: None,
+            },
+        )
+        .expect("valid query");
+        let (cost, upgraded) =
+            oracle_answer(&self.live, self.dims, t, &self.cost.cost_fn(self.dims));
+        let got = &resp.results[0];
+        assert_eq!(got.cost.to_bits(), cost.to_bits(), "cost drifted on {t:?}");
+        let gb: Vec<u64> = got.upgraded.iter().map(|v| v.to_bits()).collect();
+        let wb: Vec<u64> = upgraded.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(gb, wb, "upgrade drifted on {t:?}");
+        self.engine.metrics().get(Counter::CacheHit) > hits
+    }
+
+    /// Cached products the point `p` ADR-dominates.
+    fn adr_hits(&self, p: &[f64]) -> u64 {
+        self.products.iter().filter(|t| point_in_adr(p, t)).count() as u64
+    }
+
+    fn skyline_cids(&self) -> Vec<CompetitorId> {
+        let snap = self.engine.snapshot();
+        snap.skyline().iter().map(|&pid| snap.cid(pid)).collect()
+    }
+
+    fn coords(&self, cid: CompetitorId) -> Vec<f64> {
+        self.live.iter().find(|(c, _)| *c == cid).unwrap().1.clone()
+    }
+
+    /// Applies `m`, checks it evicted `expect` entries, then re-asks
+    /// every product: exactly the survivors hit, and every answer —
+    /// hit or recomputed — matches the cold oracle.
+    fn mutate_expecting(&mut self, m: Mutation, expect: u64) {
+        let out = self.engine.apply(m.clone()).expect("valid mutation");
+        assert_eq!(out.evicted, expect, "wrong eviction count for {m:?}");
+        match m {
+            Mutation::AddCompetitor(c) => self.live.push((out.cid.unwrap(), c)),
+            Mutation::RemoveCompetitor(cid) => {
+                assert!(out.removed);
+                self.live.retain(|(c, _)| *c != cid);
+            }
+            Mutation::AddCompetitorWithCid(..) => unreachable!(),
+        }
+        let before = self.products.len() as u64 - expect;
+        assert_eq!(self.engine.stats().cached as u64, before);
+        let hit = self.products.iter().filter(|t| self.ask(t)).count() as u64;
+        assert_eq!(hit, before, "exactly the surviving entries must hit");
+        assert_eq!(self.engine.stats().cached, self.products.len());
+    }
+}
+
+#[test]
+fn paper_setup_off_skyline_delete_evicts_nothing() {
+    let mut s = PaperSetup::new(0xdead, 300, 3);
+    let sky = s.skyline_cids();
+    let off: Vec<CompetitorId> = s
+        .live
+        .iter()
+        .map(|(c, _)| *c)
+        .filter(|c| !sky.contains(c))
+        .take(20)
+        .collect();
+    assert_eq!(off.len(), 20, "workload must have off-skyline competitors");
+    for cid in off {
+        s.mutate_expecting(Mutation::RemoveCompetitor(cid), 0);
+        assert_eq!(
+            s.skyline_cids(),
+            sky,
+            "an off-skyline delete moved the skyline"
+        );
+    }
+}
+
+#[test]
+fn paper_setup_skyline_delete_evicts_exactly_its_adr_hits() {
+    let mut s = PaperSetup::new(0xbeef, 300, 3);
+    for _ in 0..10 {
+        let cid = s.skyline_cids()[0];
+        let p = s.coords(cid);
+        let expect = s.adr_hits(&p);
+        assert!(expect >= 24, "every paper product is dominated by a member");
+        s.mutate_expecting(Mutation::RemoveCompetitor(cid), expect);
+    }
+}
+
+/// Removing a skyline member exposes second-layer points that dominate
+/// the cached products; the recomputed answers must see them.
+#[test]
+fn paper_setup_skyline_delete_exposes_the_second_layer() {
+    let dims = 2;
+    let rows: Vec<Vec<f64>> = vec![
+        vec![0.1, 0.5],   // cid 0: skyline
+        vec![0.3, 0.3],   // cid 1: skyline, the only dominator of 2 and 3
+        vec![0.5, 0.1],   // cid 2: skyline
+        vec![0.35, 0.4],  // cid 3: second layer
+        vec![0.4, 0.35],  // cid 4: second layer
+        vec![0.45, 0.45], // cid 5: third layer
+    ];
+    let engine = Engine::with_competitors(
+        PointStore::from_rows(dims, rows.iter().cloned()),
+        EngineConfig::default(),
+    );
+    let mut s = PaperSetup {
+        engine,
+        live: rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (i as CompetitorId, c))
+            .collect(),
+        products: vec![
+            vec![1.5, 1.5],
+            vec![1.1, 2.0],
+            vec![2.0, 1.1],
+            vec![0.42, 0.42], // dominated by cids 1, 3, 4
+            vec![0.2, 0.9],   // dominated by cid 0 only
+        ],
+        dims,
+        cost: CostSpec::Reciprocal(1e-3),
+    };
+    for t in &s.products {
+        s.ask(t);
+    }
+    assert_eq!(s.skyline_cids(), vec![0, 1, 2]);
+    s.mutate_expecting(Mutation::RemoveCompetitor(1), 4);
+    assert_eq!(
+        s.skyline_cids(),
+        vec![0, 2, 3, 4],
+        "the second layer must be exposed"
+    );
+    // Again one layer down: removing both exposed points brings up cid 5.
+    s.mutate_expecting(Mutation::RemoveCompetitor(3), 4);
+    s.mutate_expecting(Mutation::RemoveCompetitor(4), 4);
+    assert_eq!(s.skyline_cids(), vec![0, 2, 5]);
+}
+
+#[test]
+fn paper_setup_dominated_insert_evicts_nothing() {
+    let mut s = PaperSetup::new(0xfeed, 300, 3);
+    let sky = s.skyline_cids();
+    for cid in sky.iter().take(10) {
+        // A point strictly behind a member on every dimension.
+        let p: Vec<f64> = s.coords(*cid).iter().map(|v| v + 1e-3).collect();
+        s.mutate_expecting(Mutation::AddCompetitor(p), 0);
+        assert_eq!(
+            s.skyline_cids(),
+            sky,
+            "a dominated insert moved the skyline"
+        );
+    }
+}
+
+#[test]
+fn paper_setup_joining_insert_evicts_exactly_its_adr_hits() {
+    let mut s = PaperSetup::new(0xf00d, 300, 3);
+    let mut rng = Rng::seed_from_u64(11);
+    let mut joined = 0;
+    while joined < 10 {
+        // Small coordinates join the skyline often, and sometimes push
+        // members out; dominated draws must evict nothing.
+        let p = random_point(&mut rng, s.dims, 0.0, 0.3);
+        let sky_before = s.skyline_cids();
+        let expect = if sky_before
+            .iter()
+            .any(|&c| skyup_geom::dominance::dominates(&s.coords(c), &p))
+        {
+            0
+        } else {
+            joined += 1;
+            s.adr_hits(&p)
+        };
+        s.mutate_expecting(Mutation::AddCompetitor(p), expect);
+    }
 }
 
 /// An STR rebuild compacts the store and renumbers points, but stable

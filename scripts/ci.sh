@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline-safe CI gate: formatting, lints, the tier-1 build + test
-# suite, the benchmark package's own tests, the declarative scenario
-# suite, and the perf-regression bench gate.
+# Offline-safe CI gate: formatting, lints, rustdoc links, the tier-1
+# build + test suite, the benchmark package's own tests, the
+# declarative scenario suite, and the perf-regression bench gate.
 #
 # Exit-code contract (what a red run means):
 #   0    every step passed
@@ -92,6 +92,11 @@ step "cargo fmt --check" \
 step "cargo clippy (workspace, deny warnings, documented unsafe)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings \
     -D clippy::undocumented_unsafe_blocks
+
+# Intra-doc links must resolve: a doc that names a deleted or private
+# item fails here instead of rendering as dead text.
+step "cargo doc (workspace, deny rustdoc warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # The release build below runs with this pin in effect; losing the
 # declaration would silently float the MSRV to whatever toolchain CI

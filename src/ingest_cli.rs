@@ -1,6 +1,6 @@
 //! The `skyup ingest` subcommand: real-data loading and profiling.
 //!
-//! Reads a CSV or NDJSON file through [`skyup_data::ingest`], printing
+//! Reads a CSV or NDJSON file through [`skyup_data::ingest`](fn@skyup_data::ingest), printing
 //! either a one-line summary, a per-column profile (`--profile` as an
 //! aligned table, `--profile=json` as a `skyup-ingest/1` document), or
 //! a normalized copy of the data (`--out`, optionally mapped into the

@@ -2,11 +2,12 @@
 //! regression scenarios as small TOML or JSON files.
 //!
 //! Each scenario declares a competitor dataset (inline rows or a
-//! CSV/NDJSON file reference loaded through [`skyup_data::ingest`]), an
-//! optional mutation script (add / remove / remove_range ops against
-//! the serving engine), a query (products, `k`, cost, budgets), and the
-//! expected outcome (an error substring, completion kind, evaluated
-//! count, and the top-k answers with per-entry cost tolerances).
+//! CSV/NDJSON file reference loaded through
+//! [`skyup_data::ingest`](fn@skyup_data::ingest)), an optional mutation
+//! script (add / remove / remove_range ops against the serving engine),
+//! a query (products, `k`, cost, budgets), and the expected outcome (an
+//! error substring, completion kind, evaluated count, and the top-k
+//! answers with per-entry cost tolerances).
 //!
 //! The harness runs every scenario through the library
 //! ([`skyup_serve::Engine`] + [`skyup_serve::execute_query`] — the same

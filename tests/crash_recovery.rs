@@ -20,7 +20,10 @@ use skyup_serve::{execute_query, CostSpec, Engine, EngineConfig, Mutation, Query
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
+
+mod common;
+use common::ChildGuard;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_skyup"))
@@ -48,16 +51,18 @@ fn fixture() -> (PathBuf, PathBuf) {
 
 /// Starts the server with identical arguments every time — the durable
 /// state in `wal` wins over the seed file on restart.
-fn spawn_server(comp: &Path, wal: &Path) -> (Child, String) {
-    let mut child = bin()
-        .arg("serve")
-        .args(["--competitors", comp.to_str().unwrap()])
-        .args(["--wal", wal.to_str().unwrap()])
-        .args(["--fsync", "always", "--checkpoint-every", "7"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("failed to spawn skyup serve");
+fn spawn_server(comp: &Path, wal: &Path) -> (ChildGuard, String) {
+    let mut child = ChildGuard::new(
+        bin()
+            .arg("serve")
+            .args(["--competitors", comp.to_str().unwrap()])
+            .args(["--wal", wal.to_str().unwrap()])
+            .args(["--fsync", "always", "--checkpoint-every", "7"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn skyup serve"),
+    );
     let stdout = child.stdout.as_mut().expect("stdout piped");
     let mut line = String::new();
     BufReader::new(stdout)

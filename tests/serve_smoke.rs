@@ -8,7 +8,10 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
+
+mod common;
+use common::ChildGuard;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_skyup"))
@@ -33,16 +36,18 @@ fn fixture(tag: &str) -> PathBuf {
 }
 
 /// Starts a server child and returns it with the address it printed.
-fn spawn_server(comp: &PathBuf, extra: &[&str]) -> (Child, String) {
-    let mut child = bin()
-        .arg("serve")
-        .arg("--competitors")
-        .arg(comp)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("failed to spawn skyup serve");
+fn spawn_server(comp: &PathBuf, extra: &[&str]) -> (ChildGuard, String) {
+    let mut child = ChildGuard::new(
+        bin()
+            .arg("serve")
+            .arg("--competitors")
+            .arg(comp)
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn skyup serve"),
+    );
     let stdout = child.stdout.as_mut().expect("stdout piped");
     let mut line = String::new();
     BufReader::new(stdout)
@@ -516,13 +521,15 @@ fn query_client_exit_codes_and_warm_start() {
     assert_eq!(child.wait().unwrap().code(), Some(0));
 
     // A warm-started server answers the same query bit-identically.
-    let mut warm = bin()
-        .arg("serve")
-        .arg("--warm-start")
-        .arg(&snap)
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut warm = ChildGuard::new(
+        bin()
+            .arg("serve")
+            .arg("--warm-start")
+            .arg(&snap)
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
     let mut line = String::new();
     BufReader::new(warm.stdout.as_mut().unwrap())
         .read_line(&mut line)

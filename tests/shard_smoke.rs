@@ -11,7 +11,10 @@ use skyup_serve::{execute_query, CostSpec, Engine, EngineConfig, Mutation, Query
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
+
+mod common;
+use common::ChildGuard;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_skyup"))
@@ -38,12 +41,13 @@ fn fixture() -> PathBuf {
 }
 
 /// Spawns one `skyup` server subcommand and reads its listen line.
-fn spawn_listening(mut cmd: Command) -> (Child, String) {
-    let mut child = cmd
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("failed to spawn skyup");
+fn spawn_listening(mut cmd: Command) -> (ChildGuard, String) {
+    let mut child = ChildGuard::new(
+        cmd.stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("failed to spawn skyup"),
+    );
     let stdout = child.stdout.as_mut().expect("stdout piped");
     let mut line = String::new();
     BufReader::new(stdout)
@@ -57,7 +61,7 @@ fn spawn_listening(mut cmd: Command) -> (Child, String) {
     (child, addr)
 }
 
-fn spawn_shard(comp: &Path, id: u32, shards: u32) -> (Child, String) {
+fn spawn_shard(comp: &Path, id: u32, shards: u32) -> (ChildGuard, String) {
     let mut cmd = bin();
     cmd.arg("serve")
         .args(["--competitors", comp.to_str().unwrap()])
@@ -66,7 +70,7 @@ fn spawn_shard(comp: &Path, id: u32, shards: u32) -> (Child, String) {
     spawn_listening(cmd)
 }
 
-fn spawn_coordinator(comp: &Path, shard_addrs: &[String]) -> (Child, String) {
+fn spawn_coordinator(comp: &Path, shard_addrs: &[String]) -> (ChildGuard, String) {
     let mut cmd = bin();
     cmd.arg("coordinate")
         .args(["--competitors", comp.to_str().unwrap()]);
